@@ -2,8 +2,8 @@
 //! YouTube stand-in at benchmark scale.
 //!
 //! Criterion measures the end-to-end run; the distribution itself (the actual
-//! content of the figures) is printed once to stderr so it can be captured in
-//! EXPERIMENTS.md without affecting the timing samples.
+//! content of the figures) is printed once to stderr so it can be captured
+//! without affecting the timing samples.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use qcm_bench::runner::{run_dataset, RunOptions};

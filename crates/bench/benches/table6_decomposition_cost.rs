@@ -11,8 +11,8 @@ use std::time::Duration;
 fn bench_decomposition_cost(c: &mut Criterion) {
     let spec = scaled::bench_scale(&qcm_gen::datasets::hyves());
 
-    // One informational pass outside the measurement loop: print the ratio so
-    // the bench output can be pasted into EXPERIMENTS.md.
+    // One informational pass outside the measurement loop: print the ratio
+    // alongside the timing samples.
     for tau_time_ms in [50u64, 1, 0] {
         let options = RunOptions {
             tau_time: Some(Duration::from_millis(tau_time_ms)),

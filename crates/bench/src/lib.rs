@@ -9,9 +9,10 @@
 //!   experiments on further-scaled-down inputs so that `cargo bench` finishes
 //!   in minutes.
 //!
-//! The mapping from experiment to paper artefact is documented in DESIGN.md
-//! (per-experiment index) and the observed numbers are recorded in
-//! EXPERIMENTS.md.
+//! The mapping from experiment to paper artefact is documented in the
+//! `experiments` binary's module docs. Gated per-layer performance rows live
+//! in `bench_suite` (see BENCH.md); the end-to-end benchmark is `qcm-perf`
+//! (see `benchmark/README.md`).
 
 /// The hand-rolled JSON value (moved to `qcm_obs::json` so the HTTP
 /// listener can share it; re-exported here for the pipeline's call sites).

@@ -227,7 +227,7 @@ pub fn mine(args: &[String]) -> Result<(), QcmError> {
 
     match format {
         OutputFormat::Json => println!("{}", report_to_json(&report, gamma, min_size)),
-        OutputFormat::Text => print_text_report(&report),
+        OutputFormat::Text => print_text_report(&report, graph.num_vertices()),
     }
     if let Some(path) = flags.values.get("output") {
         write_results(&report, path)?;
@@ -292,11 +292,21 @@ fn session_builder_from_flags(
     Ok((builder, gamma, min_size))
 }
 
-fn print_text_report(report: &MiningReport) {
+fn print_text_report(report: &MiningReport, num_vertices: usize) {
     println!(
         "found {} maximal quasi-cliques in {:.3} s",
         report.maximal.len(),
         report.elapsed.as_secs_f64()
+    );
+    // Both backends shrink the graph to its k-core first; the parallel one
+    // peels before the cluster starts, so its peel time is reported apart.
+    let peel = report
+        .kcore_time()
+        .map(|t| format!(" (peel {:.1} ms)", t.as_secs_f64() * 1e3))
+        .unwrap_or_default();
+    println!(
+        "k-core: {} of {num_vertices} vertices kept{peel}",
+        report.kcore_vertices()
     );
     if !report.is_complete() {
         println!(
@@ -365,13 +375,18 @@ fn report_to_json(report: &MiningReport, gamma: f64, min_size: usize) -> String 
             )
         })
         .unwrap_or_default();
+    let kcore_ms = report
+        .kcore_time()
+        .map(|t| format!(",\"kcore_ms\":{:.3}", t.as_secs_f64() * 1e3))
+        .unwrap_or_default();
     format!(
         "{{\"gamma\":{gamma},\"min_size\":{min_size},\"outcome\":\"{outcome}\",\
-         \"complete\":{},\"elapsed_ms\":{},\"raw_reported\":{},\"num_maximal\":{}{task_time},\
-         \"maximal\":[{}]}}",
+         \"complete\":{},\"elapsed_ms\":{},\"raw_reported\":{},\"kcore_vertices\":{}{kcore_ms},\
+         \"num_maximal\":{}{task_time},\"maximal\":[{}]}}",
         report.is_complete(),
         report.elapsed.as_millis(),
         report.raw_reported,
+        report.kcore_vertices(),
         report.maximal.len(),
         sets.join(",")
     )
@@ -775,6 +790,11 @@ mod tests {
         assert!(json.contains("\"outcome\":\"complete\""));
         assert!(json.contains("\"complete\":true"));
         assert!(json.contains(&format!("\"num_maximal\":{}", report.maximal.len())));
+        assert!(json.contains(&format!("\"kcore_vertices\":{}", report.kcore_vertices())));
+        assert!(
+            !json.contains("kcore_ms"),
+            "the serial peel is inside elapsed"
+        );
     }
 
     #[test]

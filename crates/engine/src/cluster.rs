@@ -145,9 +145,12 @@ impl<A: GThinkerApp> Cluster<A> {
         // Reuse the caller's per-graph index when one was threaded through
         // (session/service layers build it once per graph); otherwise build
         // per the configured policy.
-        let index = match &config.shared_index {
-            Some(shared) if Arc::ptr_eq(shared.graph(), &graph) => shared.clone(),
-            _ => Arc::new(qcm_graph::NeighborhoodIndex::build(graph, config.index)),
+        let (index, shared_index_reused) = match &config.shared_index {
+            Some(shared) if Arc::ptr_eq(shared.graph(), &graph) => (shared.clone(), true),
+            _ => (
+                Arc::new(qcm_graph::NeighborhoodIndex::build(graph, config.index)),
+                false,
+            ),
         };
         let table = PartitionedVertexTable::with_index(index.clone(), config.num_machines);
         let spill_metrics = Arc::new(SpillMetrics::default());
@@ -237,6 +240,7 @@ impl<A: GThinkerApp> Cluster<A> {
         let transport_stats = transport.stats();
         let metrics = EngineMetrics {
             elapsed: start.elapsed(),
+            shared_index_reused,
             // ordering: Relaxed — read after the worker scope joined; the join
             // edge already orders every worker's counter writes before these loads.
             tasks_spawned: shared.tasks_spawned.load(Ordering::Relaxed),

@@ -104,6 +104,10 @@ pub struct EngineMetrics {
     pub task_times: Vec<TaskTimeRecord>,
     /// Per-worker busy time (used to verify that cores stay busy).
     pub worker_busy: Vec<Duration>,
+    /// True when the run served edge queries through the caller's prepared
+    /// index ([`crate::EngineConfig::shared_index`]) instead of building
+    /// its own.
+    pub shared_index_reused: bool,
     /// Whether the run drained the whole task pool or was interrupted by its
     /// cancellation token / deadline (in which case the emitted results cover
     /// only the processed tasks).

@@ -514,6 +514,11 @@ pub struct SimOutput {
     pub virtual_us: u64,
     /// The neighborhood index the run served edge queries through.
     pub index: Option<Arc<NeighborhoodIndex>>,
+    /// Roots whose work did not run to completion, in id order: lost for
+    /// good, never spawned, or still in flight when the run ended. Empty
+    /// when the run is `Complete`. A lost task without a root could belong
+    /// to any root, so it puts every vertex on the list.
+    pub unfinished_roots: Vec<VertexId>,
 }
 
 /// A deterministic simulated cluster executing one application under a fault
@@ -536,9 +541,12 @@ impl<A: GThinkerApp> SimCluster<A> {
     /// Runs the application over `graph` in virtual time under the scenario.
     pub fn run(&self, graph: Arc<Graph>) -> SimOutput {
         let wall_start = qcm_obs::clock::now();
-        let index = match &self.engine.shared_index {
-            Some(shared) if Arc::ptr_eq(shared.graph(), &graph) => shared.clone(),
-            _ => Arc::new(NeighborhoodIndex::build(graph, self.engine.index)),
+        let (index, shared_index_reused) = match &self.engine.shared_index {
+            Some(shared) if Arc::ptr_eq(shared.graph(), &graph) => (shared.clone(), true),
+            _ => (
+                Arc::new(NeighborhoodIndex::build(graph, self.engine.index)),
+                false,
+            ),
         };
         let table = PartitionedVertexTable::with_index(index.clone(), self.engine.num_machines);
         let machines = self.engine.num_machines;
@@ -572,6 +580,7 @@ impl<A: GThinkerApp> SimCluster<A> {
                 .collect(),
             live: BTreeMap::new(),
             dirty: BTreeSet::new(),
+            lost: BTreeSet::new(),
             respawns: BTreeMap::new(),
             results: BTreeMap::new(),
             outstanding_pulls: BTreeMap::new(),
@@ -591,6 +600,7 @@ impl<A: GThinkerApp> SimCluster<A> {
             interrupted: false,
         };
         driver.run();
+        let unfinished_roots = driver.unfinished_roots();
 
         let (virtual_us, stats, lines, hash) = {
             let mut net = driver.net.lock();
@@ -607,6 +617,7 @@ impl<A: GThinkerApp> SimCluster<A> {
         let results: Vec<Vec<VertexId>> = driver.results.into_values().flatten().collect();
         let metrics = EngineMetrics {
             elapsed: wall_start.elapsed(),
+            shared_index_reused,
             tasks_spawned: driver.tasks_spawned,
             tasks_processed: driver.tasks_processed,
             tasks_decomposed: driver.tasks_decomposed,
@@ -631,6 +642,7 @@ impl<A: GThinkerApp> SimCluster<A> {
             log_hash: hash,
             virtual_us,
             index: Some(index),
+            unfinished_roots,
         }
     }
 }
@@ -647,6 +659,8 @@ struct Driver<'a, A: GThinkerApp> {
     live: BTreeMap<u32, i64>,
     /// Roots that lost work and must be respawned.
     dirty: BTreeSet<u32>,
+    /// Roots whose lost work can never be respawned.
+    lost: BTreeSet<u32>,
     respawns: BTreeMap<u32, u32>,
     /// Result rows keyed by root — discarded wholesale on respawn, so every
     /// root contributes exactly once.
@@ -1240,6 +1254,7 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
             self.dirty.remove(&root);
             if root == ROOTLESS {
                 self.faulted = true;
+                self.lost.insert(root);
                 self.log("permanent loss: rootless task".to_string());
                 continue;
             }
@@ -1248,12 +1263,14 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
             if !self.net().alive[owner] {
                 // No events remain, so the owner can never come back.
                 self.faulted = true;
+                self.lost.insert(root);
                 self.log(format!("permanent loss: root={root} owner m{owner} down"));
                 continue;
             }
             let attempts = self.respawns.get(&root).copied().unwrap_or(0);
             if attempts >= self.sim.respawn_limit {
                 self.faulted = true;
+                self.lost.insert(root);
                 self.log(format!("permanent loss: root={root} respawn limit"));
                 continue;
             }
@@ -1288,6 +1305,20 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
             self.ensure_balance();
         }
         progress
+    }
+
+    /// See [`SimOutput::unfinished_roots`].
+    fn unfinished_roots(&self) -> Vec<VertexId> {
+        let mut roots: BTreeSet<u32> = self.lost.union(&self.dirty).copied().collect();
+        roots.extend(self.live.iter().filter(|&(_, &n)| n > 0).map(|(&r, _)| r));
+        for mach in &self.machines {
+            roots.extend(mach.cursor.iter().map(|v| v.raw()));
+            roots.extend(mach.tasks.values().map(|t| t.root));
+        }
+        if roots.contains(&ROOTLESS) {
+            return self.table.graph().vertices().collect();
+        }
+        roots.into_iter().map(VertexId::new).collect()
     }
 
     fn finalize(&mut self) {
@@ -1484,6 +1515,31 @@ mod tests {
             g,
         );
         assert_eq!(out.outcome, RunOutcome::Faulted);
+    }
+
+    #[test]
+    fn every_root_off_the_unfinished_list_reported_all_its_rows() {
+        let g = ring(24);
+        let complete = run(EngineConfig::cluster(3, 1), SimConfig::new(11), g.clone());
+        assert!(complete.unfinished_roots.is_empty());
+        let out = run(
+            EngineConfig::cluster(3, 1),
+            SimConfig::crash_scenario(11, 1, 1_500, None),
+            g.clone(),
+        );
+        assert_eq!(out.outcome, RunOutcome::Faulted);
+        assert!(!out.unfinished_roots.is_empty());
+        for v in g.vertices() {
+            if out.unfinished_roots.contains(&v) {
+                continue;
+            }
+            let rows = |o: &SimOutput| -> Vec<Vec<VertexId>> {
+                let mut r: Vec<_> = o.results.iter().filter(|r| r[0] == v).cloned().collect();
+                r.sort();
+                r
+            };
+            assert_eq!(rows(&out), rows(&complete), "finished root {v:?}");
+        }
     }
 
     #[test]

@@ -75,6 +75,11 @@ pub struct SpanEvent {
     pub tid: u32,
     /// Kind-specific payload (root vertex, task id, batch size, bytes, …).
     pub arg: u64,
+    /// Per-thread open order: a span opened later on the same thread has a
+    /// larger `seq`. It breaks start-time ties, so spans that open within
+    /// one microsecond keep their open order and a parent still sorts
+    /// before its children.
+    pub seq: u64,
 }
 
 impl SpanEvent {
@@ -221,6 +226,8 @@ thread_local! {
     static LOCAL: RefCell<Option<(u64, u32, Arc<ThreadBuf>)>> = const { RefCell::new(None) };
     /// Machine lane for Chrome-trace `pid` grouping (see [`set_lane`]).
     static LANE: Cell<u32> = const { Cell::new(0) };
+    /// Spans this thread has opened while recording: the next span's `seq`.
+    static OPENED: Cell<u64> = const { Cell::new(0) };
 }
 
 /// Starts the process-wide recording. Returns `false` (and records
@@ -258,9 +265,7 @@ pub fn finish_recording() -> Trace {
     for buf in &rec.bufs {
         trace.dropped += buf.drain_into(&mut trace.spans);
     }
-    trace
-        .spans
-        .sort_by_key(|s| (s.start_us, std::cmp::Reverse(s.dur_us)));
+    trace.spans.sort_by_key(|s| (s.start_us, s.tid, s.seq));
     trace
 }
 
@@ -277,7 +282,7 @@ pub fn set_lane(machine: u32) {
     LANE.with(|lane| lane.set(machine));
 }
 
-fn record(kind: SpanKind, start_us: u64, arg: u64) {
+fn record(kind: SpanKind, start_us: u64, seq: u64, arg: u64) {
     let end_us = now_us();
     LOCAL.with(|local| {
         let mut local = local.borrow_mut();
@@ -305,6 +310,7 @@ fn record(kind: SpanKind, start_us: u64, arg: u64) {
             lane: LANE.with(|lane| lane.get()),
             tid: *tid,
             arg,
+            seq,
         });
     });
 }
@@ -316,6 +322,7 @@ fn record(kind: SpanKind, start_us: u64, arg: u64) {
 pub struct SpanGuard {
     kind: SpanKind,
     start_us: u64,
+    seq: u64,
     arg: u64,
     armed: bool,
 }
@@ -336,7 +343,7 @@ impl SpanGuard {
 impl Drop for SpanGuard {
     fn drop(&mut self) {
         if self.armed {
-            record(self.kind, self.start_us, self.arg);
+            record(self.kind, self.start_us, self.seq, self.arg);
         }
     }
 }
@@ -357,6 +364,7 @@ pub fn span_with(kind: SpanKind, arg: u64) -> SpanGuard {
         return SpanGuard {
             kind,
             start_us: 0,
+            seq: 0,
             arg,
             armed: false,
         };
@@ -364,6 +372,7 @@ pub fn span_with(kind: SpanKind, arg: u64) -> SpanGuard {
     SpanGuard {
         kind,
         start_us: now_us(),
+        seq: OPENED.with(|opened| opened.replace(opened.get() + 1)),
         arg,
         armed: true,
     }

@@ -18,8 +18,8 @@ pub fn self_time_by_kind(trace: &Trace) -> BTreeMap<&'static str, u64> {
     for tid in tids {
         let mut spans: Vec<&SpanEvent> = trace.spans.iter().filter(|s| s.tid == tid).collect();
         // Parents sort before their children: earlier start first, and on
-        // a tie the longer (enclosing) span first.
-        spans.sort_by_key(|s| (s.start_us, std::cmp::Reverse(s.dur_us)));
+        // a tie the earlier-opened span first.
+        spans.sort_by_key(|s| (s.start_us, s.seq));
         // Containment stack: (end_us, kind, dur_us, direct-child time).
         let mut stack: Vec<(u64, SpanKind, u64, u64)> = Vec::new();
         let close = |stack: &mut Vec<(u64, SpanKind, u64, u64)>,
@@ -49,7 +49,8 @@ pub fn self_time_by_kind(trace: &Trace) -> BTreeMap<&'static str, u64> {
 mod tests {
     use super::*;
 
-    fn ev(kind: SpanKind, start_us: u64, dur_us: u64, tid: u32) -> SpanEvent {
+    /// A span opened `seq`-th on its thread.
+    fn ev(kind: SpanKind, start_us: u64, dur_us: u64, tid: u32, seq: u64) -> SpanEvent {
         SpanEvent {
             kind,
             start_us,
@@ -57,6 +58,7 @@ mod tests {
             lane: 0,
             tid,
             arg: 0,
+            seq,
         }
     }
 
@@ -66,10 +68,10 @@ mod tests {
         // thread contributes a flat steal [0, 5).
         let trace = Trace {
             spans: vec![
-                ev(SpanKind::Run, 0, 100, 0),
-                ev(SpanKind::Task, 10, 50, 0),
-                ev(SpanKind::MinePhase, 20, 30, 0),
-                ev(SpanKind::Steal, 0, 5, 1),
+                ev(SpanKind::Run, 0, 100, 0, 0),
+                ev(SpanKind::Task, 10, 50, 0, 1),
+                ev(SpanKind::MinePhase, 20, 30, 0, 2),
+                ev(SpanKind::Steal, 0, 5, 1, 0),
             ],
             dropped: 0,
         };
@@ -94,9 +96,9 @@ mod tests {
         // exactly at the first one's end must not count as its child.
         let trace = Trace {
             spans: vec![
-                ev(SpanKind::Run, 0, 100, 0),
-                ev(SpanKind::Task, 0, 40, 0),
-                ev(SpanKind::Task, 40, 40, 0),
+                ev(SpanKind::Run, 0, 100, 0, 0),
+                ev(SpanKind::Task, 0, 40, 0, 1),
+                ev(SpanKind::Task, 40, 40, 0, 2),
             ],
             dropped: 0,
         };

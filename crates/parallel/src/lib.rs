@@ -10,6 +10,9 @@
 //! * [`DecompositionStrategy`] selects between the simple size-threshold
 //!   splitting of Algorithm 8 and the paper's **time-delayed task
 //!   decomposition** of Algorithms 9–10.
+//! * Before the cluster starts, both front ends shrink the graph to its
+//!   global k-core (the size-threshold rule P2, as in `SerialMiner`), so
+//!   the engine spawns tasks only from vertices that can be in a result.
 //! * [`ParallelMiner`] is the one-call front end: configure γ, τ_size,
 //!   τ_split, τ_time and the simulated cluster shape, call
 //!   [`ParallelMiner::mine`], get back the maximal quasi-cliques plus the
@@ -37,6 +40,7 @@
 
 pub mod app;
 pub mod iterations;
+mod kcore;
 pub mod mine;
 pub mod runner;
 pub mod sim;

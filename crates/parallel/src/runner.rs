@@ -1,16 +1,16 @@
 //! High-level parallel mining API.
 //!
-//! [`ParallelMiner`] wires the quasi-clique application to the reforged
-//! engine, runs the job on the simulated cluster, and post-processes the raw
-//! reports into the final maximal result set — the same pipeline the paper's
-//! experiments use (Section 7), exposed as one call.
+//! [`ParallelMiner`] shrinks the graph to its global k-core, wires the
+//! quasi-clique application to the reforged engine, runs the job on the
+//! simulated cluster, and post-processes the raw reports into the final
+//! maximal result set — the same pipeline the paper's experiments use
+//! (Section 7), exposed as one call.
 
 use crate::app::QuasiCliqueApp;
+use crate::kcore::CoreGraph;
 use crate::mine::DecompositionStrategy;
-use qcm_core::quasiclique::is_valid_quasi_clique_over;
 use qcm_core::{
-    remove_non_maximal, CancelToken, MiningParams, PruneConfig, QuasiCliqueSet, QuasiCliqueSink,
-    RunOutcome,
+    CancelToken, MiningParams, PruneConfig, QuasiCliqueSet, QuasiCliqueSink, RunOutcome,
 };
 use qcm_engine::{Cluster, EngineConfig, EngineMetrics};
 use qcm_graph::Graph;
@@ -25,7 +25,15 @@ pub struct ParallelMiningOutput {
     /// Number of raw (pre-post-processing) reports emitted by tasks.
     pub raw_reported: u64,
     /// Engine metrics (timing, tasks, spilling, stealing, per-task log).
+    /// They describe the run over the k-core, not the input graph.
     pub metrics: EngineMetrics,
+    /// Vertices surviving the global k-core peel (the input's vertex count
+    /// when the size-threshold rule is off); the engine mines only these.
+    pub kcore_vertices: usize,
+    /// Wall time of the peel and compaction. It runs before the cluster
+    /// starts, so it is not part of `metrics.elapsed`: a caller timing the
+    /// whole call sees it as post-processing, outside the engine.
+    pub kcore_time: Duration,
 }
 
 impl ParallelMiningOutput {
@@ -109,8 +117,21 @@ impl ParallelMiner {
     fn mine_impl(
         &self,
         graph: Arc<Graph>,
-        mut observer: Option<&mut dyn QuasiCliqueSink>,
+        observer: Option<&mut dyn QuasiCliqueSink>,
     ) -> ParallelMiningOutput {
+        let core = CoreGraph::peel(graph, &self.params, &self.prune_config);
+        let kcore_vertices = core.num_vertices();
+        if kcore_vertices == 0 {
+            // Nothing survives the peel: the search space is empty, so the
+            // run is complete without starting the cluster.
+            return ParallelMiningOutput {
+                maximal: QuasiCliqueSet::new(),
+                raw_reported: 0,
+                metrics: EngineMetrics::default(),
+                kcore_vertices,
+                kcore_time: core.elapsed,
+            };
+        }
         let app = Arc::new(
             QuasiCliqueApp::new(
                 self.params,
@@ -123,35 +144,20 @@ impl ParallelMiner {
             .with_cancel(self.engine_config.cancel.clone()),
         );
         let cluster = Cluster::new(app, self.engine_config.clone());
-        let output = cluster.run(graph);
+        let output = cluster.run(core.graph().clone());
         let raw_reported = output.metrics.results_emitted;
-        let mut set = QuasiCliqueSet::new();
-        for members in output.results {
-            if let Some(observer) = observer.as_deref_mut() {
-                observer.report(members.clone());
-            }
-            set.insert(members);
-        }
-        let mut maximal = remove_non_maximal(set);
-        // Trust-but-verify: re-check every answer against the global graph
-        // through the run's shared neighborhood index (the same edge-query
-        // path the vertex table serves). The distributed search assembled
-        // these sets from task-local subgraphs; a validation failure here
-        // means an engine bug, and dropping the set beats publishing — or
-        // cache-poisoning, at the service layer — a wrong answer.
-        if let Some(index) = &output.index {
-            let nbhd: &dyn qcm_graph::Neighborhoods = index.as_ref();
-            maximal.retain_sets(|members| {
-                let raw: Vec<u32> = members.iter().map(|v| v.raw()).collect();
-                let valid = is_valid_quasi_clique_over(nbhd, &raw, &self.params);
-                debug_assert!(valid, "engine emitted an invalid result {members:?}");
-                valid
-            });
-        }
+        let maximal = core.collect(
+            output.results,
+            output.index.as_ref(),
+            &self.params,
+            observer,
+        );
         ParallelMiningOutput {
             maximal,
             raw_reported,
             metrics: output.metrics,
+            kcore_vertices,
+            kcore_time: core.elapsed,
         }
     }
 }

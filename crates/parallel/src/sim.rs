@@ -1,11 +1,12 @@
 //! Deterministic fault-simulated quasi-clique mining.
 //!
 //! [`SimMiner`] is the fault-testing twin of [`crate::ParallelMiner`]: the
-//! same [`QuasiCliqueApp`] and the same maximality/validity post-processing,
-//! but executed on [`qcm_engine::SimCluster`] — the seeded discrete-event
-//! simulator — instead of the live thread-per-worker cluster. One seed plus
-//! one fault scenario replays byte-identically, so crash, straggler and
-//! partition behaviour is testable in CI without flaky timing.
+//! same global k-core peel, the same [`QuasiCliqueApp`] and the same
+//! maximality/validity post-processing, but executed on
+//! [`qcm_engine::SimCluster`] — the seeded discrete-event simulator —
+//! instead of the live thread-per-worker cluster. One seed plus one fault
+//! scenario replays byte-identically, so crash, straggler and partition
+//! behaviour is testable in CI without flaky timing.
 //!
 //! Determinism requires two deviations from the live miner's defaults, both
 //! applied automatically:
@@ -18,12 +19,13 @@
 //!   [`SimConfig::max_virtual_us`] virtual microseconds instead.
 
 use crate::app::QuasiCliqueApp;
+use crate::kcore::CoreGraph;
 use crate::mine::DecompositionStrategy;
-use qcm_core::quasiclique::is_valid_quasi_clique_over;
-use qcm_core::{remove_non_maximal, MiningParams, PruneConfig, QuasiCliqueSet, RunOutcome};
+use qcm_core::{MiningParams, PruneConfig, QuasiCliqueSet, QuasiCliqueSink, RunOutcome};
 use qcm_engine::{EngineConfig, EngineMetrics, SimCluster, SimConfig};
-use qcm_graph::Graph;
+use qcm_graph::{Fnv1a64, Graph, VertexId};
 use qcm_sync::Arc;
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// Output of a simulated mining run.
@@ -31,8 +33,9 @@ use std::time::Duration;
 pub struct SimMiningOutput {
     /// The final maximal quasi-cliques. When the scenario did not permit
     /// completion (`outcome != Complete`) this is a *partial* result: every
-    /// set in it is a valid quasi-clique, but roots whose work was lost
-    /// contribute nothing.
+    /// set in it is still a maximal quasi-clique of the whole graph, but
+    /// sets that unfinished work could have extended are withheld, and
+    /// roots whose work was lost contribute nothing.
     pub maximal: QuasiCliqueSet,
     /// Number of raw (pre-post-processing) reports emitted by tasks.
     pub raw_reported: u64,
@@ -49,6 +52,11 @@ pub struct SimMiningOutput {
     pub log_hash: u64,
     /// Virtual duration of the run.
     pub virtual_time: Duration,
+    /// Vertices surviving the global k-core peel (see
+    /// [`crate::ParallelMiningOutput::kcore_vertices`]).
+    pub kcore_vertices: usize,
+    /// Wall time of the peel and compaction, outside `metrics.elapsed`.
+    pub kcore_time: Duration,
 }
 
 /// Parallel maximal quasi-clique miner on the deterministic fault simulator.
@@ -83,8 +91,43 @@ impl SimMiner {
         self
     }
 
-    /// Mines `graph` in virtual time under the configured fault scenario.
+    /// Mines `graph` in virtual time under the configured fault scenario,
+    /// after the same global k-core peel as the live miner.
     pub fn mine(&self, graph: Arc<Graph>) -> SimMiningOutput {
+        self.mine_impl(graph, None)
+    }
+
+    /// Like [`SimMiner::mine`], but forwards every raw result row to
+    /// `observer` once the simulation has drained, as
+    /// [`crate::ParallelMiner::mine_with_observer`] does.
+    pub fn mine_with_observer(
+        &self,
+        graph: Arc<Graph>,
+        observer: &mut dyn QuasiCliqueSink,
+    ) -> SimMiningOutput {
+        self.mine_impl(graph, Some(observer))
+    }
+
+    fn mine_impl(
+        &self,
+        graph: Arc<Graph>,
+        observer: Option<&mut dyn QuasiCliqueSink>,
+    ) -> SimMiningOutput {
+        let core = CoreGraph::peel(graph, &self.params, &self.prune_config);
+        let kcore_vertices = core.num_vertices();
+        if kcore_vertices == 0 {
+            return SimMiningOutput {
+                maximal: QuasiCliqueSet::new(),
+                raw_reported: 0,
+                metrics: EngineMetrics::default(),
+                outcome: RunOutcome::Complete,
+                event_log: Vec::new(),
+                log_hash: Fnv1a64::new().finish(),
+                virtual_time: Duration::ZERO,
+                kcore_vertices,
+                kcore_time: core.elapsed,
+            };
+        }
         let app = Arc::new(
             QuasiCliqueApp::new(
                 self.params,
@@ -98,22 +141,19 @@ impl SimMiner {
             .with_index(self.engine_config.index),
         );
         let cluster = SimCluster::new(app, self.engine_config.clone(), self.sim_config.clone());
-        let output = cluster.run(graph);
+        let output = cluster.run(core.graph().clone());
         let raw_reported = output.metrics.results_emitted;
-        let mut set = QuasiCliqueSet::new();
-        for members in output.results {
-            set.insert(members);
-        }
-        let mut maximal = remove_non_maximal(set);
-        // Same trust-but-verify pass as the live miner: every answer is
-        // re-checked against the global graph through the run's index.
-        if let Some(index) = &output.index {
-            let nbhd: &dyn qcm_graph::Neighborhoods = index.as_ref();
+        let mut maximal = core.collect(
+            output.results,
+            output.index.as_ref(),
+            &self.params,
+            observer,
+        );
+        if !output.unfinished_roots.is_empty() {
+            let unfinished: BTreeSet<u32> =
+                output.unfinished_roots.iter().map(|v| v.raw()).collect();
             maximal.retain_sets(|members| {
-                let raw: Vec<u32> = members.iter().map(|v| v.raw()).collect();
-                let valid = is_valid_quasi_clique_over(nbhd, &raw, &self.params);
-                debug_assert!(valid, "engine emitted an invalid result {members:?}");
-                valid
+                !unfinished_work_may_extend(&core, members, &unfinished, &self.params)
             });
         }
         SimMiningOutput {
@@ -124,8 +164,43 @@ impl SimMiner {
             event_log: output.event_log,
             log_hash: output.log_hash,
             metrics: output.metrics,
+            kcore_vertices,
+            kcore_time: core.elapsed,
         }
     }
+}
+
+/// Whether work that never finished could have found a strict superset of
+/// `members`, a set some finished root reported. `unfinished` holds mined
+/// ids.
+///
+/// A root's tasks explore exactly the sets whose smallest vertex is that
+/// root. A superset with the same smallest vertex is reported by the same
+/// root, so a finished root's superset has already removed `members` as
+/// non-maximal. Any other superset `M` has a smaller least vertex `r`, and
+/// only an unfinished `r` can have missed it. For γ ≥ 0.5, `G(M)` has
+/// diameter ≤ 2 (Theorem 1 of Pei et al., rule P1), so `r` lies within two
+/// hops of every member; for smaller γ any unfinished smaller root may do.
+fn unfinished_work_may_extend(
+    core: &CoreGraph,
+    members: &[VertexId],
+    unfinished: &BTreeSet<u32>,
+    params: &MiningParams,
+) -> bool {
+    let root = core.mined_id(members[0]);
+    if unfinished.contains(&root) {
+        // The reporting root itself lost work: its larger sets may be gone.
+        return true;
+    }
+    if !params.gamma.diameter_two_applies() {
+        return unfinished.range(..root).next().is_some();
+    }
+    let graph = core.graph();
+    let smaller_unfinished = |w: &VertexId| w.raw() < root && unfinished.contains(&w.raw());
+    graph
+        .neighbors(VertexId::new(root))
+        .iter()
+        .any(|w| smaller_unfinished(w) || graph.neighbors(*w).iter().any(smaller_unfinished))
 }
 
 #[cfg(test)]

@@ -214,14 +214,20 @@ pub fn mine_parallel(
         session.cancel_token(),
         None,
     );
-    let metrics = match report.stats {
-        BackendStats::Parallel { metrics } => *metrics,
+    let (metrics, kcore_vertices, kcore_time) = match report.stats {
+        BackendStats::Parallel {
+            metrics,
+            kcore_vertices,
+            kcore_time,
+        } => (*metrics, kcore_vertices, kcore_time),
         BackendStats::Serial { .. } => unreachable!("parallel run produced serial stats"),
     };
     ParallelMiningOutput {
         maximal: report.maximal,
         raw_reported: report.raw_reported,
         metrics,
+        kcore_vertices,
+        kcore_time,
     }
 }
 

@@ -87,8 +87,16 @@ pub enum BackendStats {
     },
     /// Metrics of a [`Backend::Parallel`] run.
     Parallel {
-        /// Engine metrics (tasks, spilling, stealing, per-task log, …).
+        /// Engine metrics (tasks, spilling, stealing, per-task log, …) of
+        /// the run over the k-core.
         metrics: Box<EngineMetrics>,
+        /// Vertices surviving the global k-core peel that runs before the
+        /// cluster starts.
+        kcore_vertices: usize,
+        /// Wall time of that peel. It is outside `metrics.elapsed` (and so
+        /// outside [`MiningReport::elapsed`]): timed around
+        /// [`Session::run_prepared`], it counts as post-processing.
+        kcore_time: Duration,
     },
 }
 
@@ -125,7 +133,24 @@ impl MiningReport {
     /// Engine metrics, when the report came from a parallel run.
     pub fn engine_metrics(&self) -> Option<&EngineMetrics> {
         match &self.stats {
-            BackendStats::Parallel { metrics } => Some(metrics),
+            BackendStats::Parallel { metrics, .. } => Some(metrics),
+            BackendStats::Serial { .. } => None,
+        }
+    }
+
+    /// Vertices surviving the k-core preprocessing, on either backend.
+    pub fn kcore_vertices(&self) -> usize {
+        match &self.stats {
+            BackendStats::Serial { kcore_vertices, .. }
+            | BackendStats::Parallel { kcore_vertices, .. } => *kcore_vertices,
+        }
+    }
+
+    /// Wall time of the parallel backend's k-core peel (the serial miner
+    /// times it as part of [`MiningReport::elapsed`]).
+    pub fn kcore_time(&self) -> Option<Duration> {
+        match &self.stats {
+            BackendStats::Parallel { kcore_time, .. } => Some(*kcore_time),
             BackendStats::Serial { .. } => None,
         }
     }
@@ -606,7 +631,7 @@ impl Session {
         sink: Option<&'a mut (dyn ResultSink + 'b)>,
     ) -> MiningReport {
         if let TransportKind::Sim(sim) = transport {
-            return self.run_sim(graph, shared_index, threads, machines, sim.clone());
+            return self.run_sim(graph, shared_index, machines, sim.clone(), sink);
         }
         let factory = match transport {
             TransportKind::InProc => TransportFactory::in_proc(),
@@ -643,6 +668,8 @@ impl Session {
             outcome,
             stats: BackendStats::Parallel {
                 metrics: Box::new(output.metrics),
+                kcore_vertices: output.kcore_vertices,
+                kcore_time: output.kcore_time,
             },
             trace: None,
         }
@@ -654,13 +681,13 @@ impl Session {
     /// scenario's virtual-time horizon; a scenario that loses work
     /// permanently yields [`RunOutcome::Faulted`] with the surviving valid
     /// results.
-    fn run_sim(
+    fn run_sim<'a, 'b>(
         &self,
         graph: &Arc<Graph>,
         shared_index: Option<&Arc<NeighborhoodIndex>>,
-        _threads: usize,
         machines: usize,
         sim: SimConfig,
+        sink: Option<&'a mut (dyn ResultSink + 'b)>,
     ) -> MiningReport {
         let mut config = EngineConfig::cluster(machines, 1)
             .with_decomposition(self.tau_split, self.tau_time)
@@ -669,7 +696,13 @@ impl Session {
             config = config.with_shared_index(index.clone());
         }
         let miner = SimMiner::new(self.params, config, sim).with_prune_config(self.prune);
-        let output = miner.mine(graph.clone());
+        let output = match sink {
+            None => miner.mine(graph.clone()),
+            Some(sink) => {
+                let mut forwarder = CandidateForwarder::new(sink);
+                miner.mine_with_observer(graph.clone(), &mut forwarder)
+            }
+        };
         MiningReport {
             maximal: output.maximal,
             raw_reported: output.raw_reported,
@@ -677,6 +710,8 @@ impl Session {
             outcome: output.outcome,
             stats: BackendStats::Parallel {
                 metrics: Box::new(output.metrics),
+                kcore_vertices: output.kcore_vertices,
+                kcore_time: output.kcore_time,
             },
             trace: None,
         }
