@@ -219,22 +219,22 @@ impl<A: GThinkerApp> Cluster<A> {
         let total_workers = config.total_threads();
         let worker_busy: Mutex<Vec<Duration>> = Mutex::new(vec![Duration::ZERO; total_workers]);
 
-        crossbeam::thread::scope(|scope| {
+        // A worker panic is resumed here once every thread has been joined.
+        qcm_sync::thread::scope(|scope| {
             // Master load balancer (big-task stealing between machines).
             if config.num_machines > 1 {
-                scope.spawn(|_| balancer_loop(&shared));
+                scope.spawn(|| balancer_loop(&shared));
             }
             for worker in 0..total_workers {
                 let machine_id = worker / config.threads_per_machine;
                 let shared_ref = &shared;
                 let busy_ref = &worker_busy;
-                scope.spawn(move |_| {
+                scope.spawn(move || {
                     let busy = worker_loop(shared_ref, machine_id, worker);
                     busy_ref.lock()[worker] = busy;
                 });
             }
-        })
-        .expect("engine worker thread panicked");
+        });
 
         let results = shared.results.into_inner();
         let transport_stats = transport.stats();

@@ -17,8 +17,9 @@
 //! vertex table is hash-partitioned over them, remote adjacency-list fetches
 //! go through a per-machine cache and are counted as network traffic. The
 //! scheduling structure — which is what the paper's scalability results
-//! depend on — is preserved faithfully; see DESIGN.md for the substitution
-//! rationale.
+//! depend on — is preserved faithfully, and every cross-machine message
+//! goes through the [`transport`] seam a real deployment would replace
+//! with sockets.
 //!
 //! Applications implement [`GThinkerApp`] (the `spawn`/`compute` UDF pair plus
 //! the big-task classifier); the quasi-clique application lives in

@@ -1,7 +1,7 @@
 //! `qcm-http`: the versioned HTTP/1.1 JSON surface of the mining service.
 //!
-//! This crate promotes `qcm serve` from an ad-hoc line protocol to a small,
-//! dependency-free HTTP service with explicit load-shedding semantics:
+//! This crate is the wire surface of `qcm serve`: a small, dependency-free
+//! HTTP service with explicit load-shedding semantics:
 //!
 //! - `POST /v1/jobs` — submit a mining job (tenant auth + priority);
 //!   answers `202` with the job id, or `429` + `Retry-After` when admission

@@ -1,8 +1,8 @@
 //! End-to-end tests over the real socket: a `Server` is started on a free
 //! loopback port and driven with a hand-rolled HTTP/1.1 client, so every
 //! layer — accept loop, parser, router, API, mining service — is on the
-//! path. What the line-protocol smoke used to cover plus the semantics only
-//! the HTTP surface has: auth, load shedding with `Retry-After`, and
+//! path. The job lifecycle (submit, long-poll, cache hit) plus the semantics
+//! only the HTTP surface has: auth, load shedding with `Retry-After`, and
 //! malformed-input isolation.
 
 use qcm_http::{Api, AuthConfig, Server, ServerConfig};

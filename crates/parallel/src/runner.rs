@@ -162,22 +162,6 @@ impl ParallelMiner {
     }
 }
 
-/// Convenience function: parallel mining with default engine settings and the
-/// given number of threads on one simulated machine.
-#[deprecated(
-    since = "0.2.0",
-    note = "use the unified `qcm::Session` front door (Session::builder()…backend(Backend::Parallel \
-            { .. }).build()?.run(&graph)) or `ParallelMiner::new(params, config).mine(graph)` \
-            directly"
-)]
-pub fn mine_parallel(
-    graph: &Arc<Graph>,
-    params: MiningParams,
-    threads: usize,
-) -> ParallelMiningOutput {
-    ParallelMiner::new(params, EngineConfig::single_machine(threads)).mine(graph.clone())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

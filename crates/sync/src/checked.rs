@@ -673,10 +673,23 @@ impl AtomicBool {
 pub mod thread {
     use crate::model::{self, Ctx, ModelAbort};
 
+    /// A spawned thread's slot in the active schedule, if it has one.
+    type ModelLink = Option<(std::sync::Arc<crate::model::Scheduler>, usize)>;
+
+    /// Joins a thread through the scheduler first, so a joiner holding the
+    /// schedule token hands it over instead of blocking on the OS join.
+    fn model_join(link: &ModelLink) {
+        if let Some((sched, target)) = link {
+            if let Some(ctx) = model::ctx() {
+                sched.thread_join(ctx.tid, *target);
+            }
+        }
+    }
+
     /// Handle to a spawned facade thread.
     pub struct JoinHandle<T> {
         inner: std::thread::JoinHandle<T>,
-        model: Option<(std::sync::Arc<crate::model::Scheduler>, usize)>,
+        model: ModelLink,
     }
 
     impl<T> std::fmt::Debug for JoinHandle<T> {
@@ -688,11 +701,7 @@ pub mod thread {
     impl<T> JoinHandle<T> {
         /// Waits for the thread to finish and returns its result.
         pub fn join(self) -> std::thread::Result<T> {
-            if let Some((sched, target)) = &self.model {
-                if let Some(ctx) = model::ctx() {
-                    sched.thread_join(ctx.tid, *target);
-                }
-            }
+            model_join(&self.model);
             self.inner.join()
         }
 
@@ -702,20 +711,24 @@ pub mod thread {
         }
     }
 
-    fn spawn_inner<F, T>(std_builder: std::thread::Builder, f: F) -> std::io::Result<JoinHandle<T>>
+    /// Spawns `f` through `os_spawn` (a plain or a scoped `std` spawn).
+    /// Inside a schedule the child is registered with the scheduler first
+    /// and runs only once it is granted the token; outside one this is just
+    /// `os_spawn(f)`.
+    fn spawn_inner<'a, F, T, H>(
+        f: F,
+        os_spawn: impl FnOnce(Box<dyn FnOnce() -> T + Send + 'a>) -> std::io::Result<H>,
+    ) -> std::io::Result<(H, ModelLink)>
     where
-        F: FnOnce() -> T + Send + 'static,
-        T: Send + 'static,
+        F: FnOnce() -> T + Send + 'a,
+        T: Send + 'a,
     {
         match model::ctx() {
-            None => Ok(JoinHandle {
-                inner: std_builder.spawn(f)?,
-                model: None,
-            }),
+            None => Ok((os_spawn(Box::new(f))?, None)),
             Some(ctx) => {
                 let tid = ctx.sched.register_thread(ctx.tid);
                 let sched = ctx.sched.clone();
-                let spawned = std_builder.spawn(move || {
+                let spawned = os_spawn(Box::new(move || {
                     model::enter_thread(Ctx {
                         sched: sched.clone(),
                         tid,
@@ -745,8 +758,8 @@ pub mod thread {
                             std::panic::resume_unwind(payload);
                         }
                     }
-                });
-                let inner = match spawned {
+                }));
+                let handle = match spawned {
                     Ok(handle) => handle,
                     Err(err) => {
                         // The registered slot would otherwise keep the
@@ -758,10 +771,7 @@ pub mod thread {
                 // Spawn is itself a schedule point: the child may run
                 // immediately or the parent may race ahead.
                 ctx.sched.yield_point(ctx.tid);
-                Ok(JoinHandle {
-                    inner,
-                    model: Some((ctx.sched, tid)),
-                })
+                Ok((handle, Some((ctx.sched, tid))))
             }
         }
     }
@@ -772,7 +782,61 @@ pub mod thread {
         F: FnOnce() -> T + Send + 'static,
         T: Send + 'static,
     {
-        spawn_inner(std::thread::Builder::new(), f).expect("failed to spawn thread")
+        Builder::new().spawn(f).expect("failed to spawn thread")
+    }
+
+    /// Scope handle passed to the closure of [`scope`].
+    pub struct Scope<'scope, 'env: 'scope> {
+        inner: &'scope std::thread::Scope<'scope, 'env>,
+        /// Schedule slots of the threads spawned here; [`scope`] joins them
+        /// through the scheduler before `std` joins them at the OS level.
+        spawned: std::sync::Mutex<Vec<ModelLink>>,
+    }
+
+    impl<'scope, 'env> std::fmt::Debug for Scope<'scope, 'env> {
+        fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+            f.debug_struct("Scope").finish_non_exhaustive()
+        }
+    }
+
+    impl<'scope, 'env> Scope<'scope, 'env> {
+        /// Spawns a thread that may borrow anything that outlives the scope.
+        /// It is joined when the scope ends, where a panic in it resumes.
+        pub fn spawn<F>(&self, f: F)
+        where
+            F: FnOnce() + Send + 'scope,
+        {
+            let scope = self.inner;
+            let (_, model) = spawn_inner(f, |f| std::thread::Builder::new().spawn_scoped(scope, f))
+                .expect("failed to spawn thread");
+            self.spawned
+                .lock()
+                .unwrap_or_else(std::sync::PoisonError::into_inner)
+                .push(model);
+        }
+    }
+
+    /// Runs `f` with a [`Scope`] whose threads may borrow from the caller's
+    /// stack; every thread is joined before `scope` returns. Inside a
+    /// schedule they are joined through the scheduler first, even when `f`
+    /// panics, so the token is never held across an OS join.
+    pub fn scope<'env, F, T>(f: F) -> T
+    where
+        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> T,
+    {
+        std::thread::scope(|inner| {
+            let scope = Scope {
+                inner,
+                spawned: Default::default(),
+            };
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&scope)));
+            let spawned = scope
+                .spawned
+                .into_inner()
+                .unwrap_or_else(std::sync::PoisonError::into_inner);
+            spawned.iter().for_each(model_join);
+            result.unwrap_or_else(|payload| std::panic::resume_unwind(payload))
+        })
     }
 
     /// Thread factory with configuration (name, stack size).
@@ -808,7 +872,8 @@ pub mod thread {
             F: FnOnce() -> T + Send + 'static,
             T: Send + 'static,
         {
-            spawn_inner(self.inner, f)
+            let (inner, model) = spawn_inner(f, |f| self.inner.spawn(f))?;
+            Ok(JoinHandle { inner, model })
         }
     }
 

@@ -474,6 +474,32 @@ pub mod thread {
         }
     }
 
+    /// Scope handle passed to the closure of [`scope`].
+    #[derive(Debug)]
+    pub struct Scope<'scope, 'env: 'scope> {
+        inner: &'scope std::thread::Scope<'scope, 'env>,
+    }
+
+    impl<'scope, 'env> Scope<'scope, 'env> {
+        /// Spawns a thread that may borrow anything that outlives the scope.
+        /// It is joined when the scope ends, where a panic in it resumes.
+        pub fn spawn<F>(&self, f: F)
+        where
+            F: FnOnce() + Send + 'scope,
+        {
+            self.inner.spawn(f);
+        }
+    }
+
+    /// Runs `f` with a [`Scope`] whose threads may borrow from the caller's
+    /// stack; every thread is joined before `scope` returns.
+    pub fn scope<'env, F, T>(f: F) -> T
+    where
+        F: for<'scope> FnOnce(&Scope<'scope, 'env>) -> T,
+    {
+        std::thread::scope(|inner| f(&Scope { inner }))
+    }
+
     /// Puts the current thread to sleep for `dur`.
     pub fn sleep(dur: std::time::Duration) {
         std::thread::sleep(dur)

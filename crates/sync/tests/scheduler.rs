@@ -324,3 +324,46 @@ fn builder_threads_participate() {
     });
     assert_eq!(report.schedules, 100);
 }
+
+/// Two `thread::scope` children borrow a stack-local mutex and increment
+/// it with a read-modify-write split across two critical sections. Scoped
+/// threads are scheduled like `thread::spawn` ones, so exploration must
+/// find the interleaving that loses an update.
+#[test]
+fn finds_lost_update_in_scoped_threads() {
+    let failure = model::find_failure(500, ModelConfig::default(), || {
+        let counter = Mutex::new(0u64);
+        thread::scope(|scope| {
+            for _ in 0..2 {
+                scope.spawn(|| {
+                    let v = *counter.lock();
+                    *counter.lock() = v + 1;
+                });
+            }
+        });
+        assert_eq!(*counter.lock(), 2, "lost update");
+    });
+    let failure = failure.expect("exploration should find the scoped lost update");
+    assert!(
+        failure.failure.as_deref().unwrap().contains("lost update"),
+        "unexpected failure: {:?}",
+        failure.failure
+    );
+}
+
+/// The same scoped increment under one critical section is clean, and the
+/// scope's join hands the schedule token to the children instead of
+/// deadlocking on the OS join.
+#[test]
+fn scoped_threads_under_a_lock_are_clean() {
+    let report = model::explore("scoped_counter", 300, ModelConfig::default(), || {
+        let counter = Mutex::new(0u64);
+        thread::scope(|scope| {
+            scope.spawn(|| *counter.lock() += 1);
+            scope.spawn(|| *counter.lock() += 1);
+        });
+        assert_eq!(*counter.lock(), 2);
+    });
+    assert_eq!(report.schedules, 300);
+    assert!(report.diagnostics.is_empty(), "{:?}", report.diagnostics);
+}
