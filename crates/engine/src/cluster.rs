@@ -1,4 +1,4 @@
-//! The simulated cluster: machines, mining threads, the reforged scheduler
+//! The cluster engine: machines, mining threads, the reforged scheduler
 //! and big-task stealing.
 //!
 //! This is the system half of the paper's codesign (Section 5). A
@@ -12,11 +12,19 @@
 //! * a spawn cursor over its owned vertices,
 //!
 //! while each *mining thread* owns a local queue (+ `L_small`) for small
-//! tasks. The worker loop follows the reforged Algorithm 3: big tasks are
+//! tasks. The worker step follows the reforged Algorithm 3: big tasks are
 //! popped with priority, queues refill from spill files before spawning new
 //! roots, and spawning stops as soon as it produces a big task. A master
-//! load-balancer thread periodically evens out pending big tasks across
-//! machines (task stealing).
+//! load balancer periodically evens out pending big tasks across machines
+//! (task stealing).
+//!
+//! The scheduler exists once. `SharedState` holds the machines, queues and
+//! counters; `step` is one scheduling step of one mining thread; the
+//! message handler, the balance policy (`plan_steal`) and the steal-grant
+//! ack/retransmit protocol sit next to them. Two drivers run this core:
+//! [`Cluster::run`] loops every mining thread over `step` in real time, and
+//! [`crate::sim::SimCluster`] calls the same `step` from its discrete-event
+//! loop in virtual time.
 
 use crate::codec::EngineMsg;
 use crate::config::EngineConfig;
@@ -25,7 +33,7 @@ use crate::queue::TaskQueue;
 use crate::spill::{SpillMetrics, SpillStore};
 use crate::steal::WorkerQueues;
 use crate::task::{ComputeContext, Frontier, GThinkerApp, TaskCodec, TaskTimings};
-use crate::transport::Transport;
+use crate::transport::{Envelope, Transport};
 use crate::vertex_table::{DataService, FetchMetrics, PartitionedVertexTable};
 
 use qcm_core::{MiningScratch, RunOutcome};
@@ -34,7 +42,8 @@ use qcm_obs::clock::Instant;
 use qcm_sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use qcm_sync::Arc;
 use qcm_sync::Mutex;
-use std::collections::VecDeque;
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
+use std::ops::Range;
 use std::time::Duration;
 
 /// The output of an engine run: raw result rows (the application's emitted
@@ -51,29 +60,67 @@ pub struct EngineOutput {
     pub index: Option<Arc<qcm_graph::NeighborhoodIndex>>,
 }
 
+/// Root key of a task whose application reports no spawning root; losing
+/// such a task cannot be repaired by respawning one root.
+pub(crate) const ROOTLESS: u32 = u32::MAX;
+
+/// Per-root task bookkeeping. The threaded driver installs none; the fault
+/// simulator uses it to find the roots whose work was lost, and keeps each
+/// root's results apart so a respawn can discard them.
+pub(crate) trait RootHooks: Sync {
+    /// A task of `root` was created (spawned or decomposed).
+    fn created(&self, root: u32);
+    /// A task of `root` ran to completion.
+    fn finished(&self, root: u32);
+    /// A task of `root` was dropped before it completed.
+    fn lost(&self, root: u32);
+    /// Work of `root` emitted `rows`.
+    fn emitted(&self, root: u32, rows: Vec<Vec<VertexId>>);
+}
+
+/// A steal grant sent but not yet acknowledged. The encoded batch is kept so
+/// the grant can be resent.
+struct PendingGrant {
+    to: usize,
+    tasks: Vec<Vec<u8>>,
+    /// Roots of the granted tasks; recorded only when root hooks are set.
+    roots: Vec<u32>,
+    retries: u32,
+}
+
 /// Per-machine shared state.
 struct MachineState<T> {
     global_queue: Mutex<TaskQueue<T>>,
     spawn_cursor: Mutex<VecDeque<VertexId>>,
     data: DataService,
+    /// Steal grants this machine sent whose ack has not arrived, by sequence
+    /// number.
+    grants_out: Mutex<BTreeMap<u64, PendingGrant>>,
+    /// Sequence numbers of the grants this machine accepted; a resent
+    /// duplicate is only acked again.
+    grants_in: Mutex<BTreeSet<u64>>,
 }
 
-/// Cluster-wide shared state used by the worker and balancer threads.
-struct SharedState<'a, A: GThinkerApp> {
+/// Cluster-wide shared state: everything a worker step reads or writes.
+pub(crate) struct SharedState<'a, A: GThinkerApp> {
     app: &'a A,
     config: &'a EngineConfig,
     table: PartitionedVertexTable,
+    shared_index_reused: bool,
     machines: Vec<MachineState<A::Task>>,
     /// Per-worker bounded deques + the intra-machine steal protocol. Small
     /// tasks live here; the machines' global queues keep the big-task lane
     /// and the spill/overflow path.
     worker_queues: WorkerQueues<A::Task>,
     /// The inter-machine message-passing layer. All cross-machine
-    /// interactions (pulls, steal requests/grants, spill/refill notices,
-    /// shutdown) travel through it; same-machine paths stay shared-memory.
+    /// interactions (pulls, steal requests/grants/acks, shutdown) travel
+    /// through it; same-machine paths stay shared-memory.
     transport: Arc<dyn Transport>,
+    hooks: Option<&'a dyn RootHooks>,
+    spill_metrics: Arc<SpillMetrics>,
+    fetch_metrics: Arc<FetchMetrics>,
     /// Monotonic sequence numbers for steal requests, so grants and acks can
-    /// be correlated in event logs.
+    /// be correlated (and deduplicated) across machines.
     steal_seq: AtomicU64,
     /// True once a fault (pull retry budget exhausted, undecodable stolen
     /// task) dropped part of the workload; labels the run
@@ -106,6 +153,193 @@ struct SharedState<'a, A: GThinkerApp> {
 }
 
 impl<'a, A: GThinkerApp> SharedState<'a, A> {
+    /// Builds the run's index, vertex table, machines and counters, and binds
+    /// `transport` to the table.
+    pub(crate) fn new(
+        app: &'a A,
+        config: &'a EngineConfig,
+        graph: Arc<Graph>,
+        transport: Arc<dyn Transport>,
+        hooks: Option<&'a dyn RootHooks>,
+    ) -> Self {
+        // Reuse the caller's per-graph index when one was threaded through
+        // (session/service layers build it once per graph); otherwise build
+        // per the configured policy.
+        let (index, shared_index_reused) = match &config.shared_index {
+            Some(shared) if Arc::ptr_eq(shared.graph(), &graph) => (shared.clone(), true),
+            _ => (
+                Arc::new(qcm_graph::NeighborhoodIndex::build(graph, config.index)),
+                false,
+            ),
+        };
+        let table = PartitionedVertexTable::with_index(index, config.num_machines);
+        transport.bind(&table);
+        let spill_metrics = Arc::new(SpillMetrics::default());
+        let fetch_metrics = Arc::new(FetchMetrics::default());
+        let machines = (0..config.num_machines)
+            .map(|m| MachineState {
+                global_queue: Mutex::new(TaskQueue::new(
+                    config.global_queue_capacity,
+                    config.batch_size,
+                    SpillStore::new(
+                        config.spill_dir.clone(),
+                        format!("m{m}-global"),
+                        spill_metrics.clone(),
+                    ),
+                )),
+                spawn_cursor: Mutex::new(table.owned_vertices(m).into()),
+                data: DataService::new(
+                    table.clone(),
+                    m,
+                    config.vertex_cache_capacity,
+                    fetch_metrics.clone(),
+                    transport.clone(),
+                    config.pull_timeout,
+                    config.pull_retries,
+                ),
+                grants_out: Mutex::new(BTreeMap::new()),
+                grants_in: Mutex::new(BTreeSet::new()),
+            })
+            .collect();
+        let unspawned = table.graph().num_vertices();
+        SharedState {
+            app,
+            config,
+            table,
+            shared_index_reused,
+            machines,
+            worker_queues: WorkerQueues::new(
+                config.total_threads(),
+                config.local_capacity,
+                config.steal_batch,
+            ),
+            transport,
+            hooks,
+            spill_metrics,
+            fetch_metrics,
+            steal_seq: AtomicU64::new(0),
+            faulted: AtomicBool::new(false),
+            pending_tasks: AtomicUsize::new(0),
+            unspawned: AtomicUsize::new(unspawned),
+            done: AtomicBool::new(false),
+            interrupted: AtomicBool::new(false),
+            results: Mutex::new(Vec::new()),
+            task_times: Mutex::new(Vec::new()),
+            tasks_spawned: AtomicU64::new(0),
+            tasks_processed: AtomicU64::new(0),
+            tasks_decomposed: AtomicU64::new(0),
+            active_task_bytes: AtomicU64::new(0),
+            peak_task_bytes: AtomicU64::new(0),
+            mining_nanos: AtomicU64::new(0),
+            materialization_nanos: AtomicU64::new(0),
+            stolen_tasks: AtomicU64::new(0),
+            pop_contention: AtomicU64::new(0),
+        }
+    }
+
+    /// The partitioned vertex table the run reads.
+    pub(crate) fn table(&self) -> &PartitionedVertexTable {
+        &self.table
+    }
+
+    /// True once a task truncated its work on a fired cancellation token.
+    pub(crate) fn interrupted(&self) -> bool {
+        // ordering: Acquire — pairs with the Release store in process_task.
+        self.interrupted.load(Ordering::Acquire)
+    }
+
+    /// Consumes the state into the run's results and metrics. The caller
+    /// fills in `elapsed`, `worker_busy`, `outcome` and `virtual_time`.
+    pub(crate) fn into_output(self) -> EngineOutput {
+        let results = self.results.into_inner();
+        let transport_stats = self.transport.stats();
+        let spill = &self.spill_metrics;
+        let fetch = &self.fetch_metrics;
+        // ordering: Relaxed — read after every worker finished (scope join or
+        // the single-threaded simulator); no other memory depends on these.
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        let metrics = EngineMetrics {
+            shared_index_reused: self.shared_index_reused,
+            tasks_spawned: load(&self.tasks_spawned),
+            tasks_processed: load(&self.tasks_processed),
+            tasks_decomposed: load(&self.tasks_decomposed),
+            results_emitted: results.len() as u64,
+            peak_task_bytes: load(&self.peak_task_bytes),
+            spill_bytes_written: load(&spill.bytes_written),
+            spill_bytes_read: load(&spill.bytes_read),
+            spill_peak_bytes: load(&spill.peak_bytes),
+            local_reads: load(&fetch.local_reads),
+            remote_fetches: load(&fetch.remote_fetches),
+            remote_bytes: load(&fetch.remote_bytes),
+            cache_hits: load(&fetch.cache_hits),
+            cache_evictions: load(&fetch.cache_evictions),
+            pull_retries: load(&fetch.pull_retries),
+            pull_failures: load(&fetch.pull_failures),
+            transport_messages: transport_stats.messages_sent,
+            transport_dropped: transport_stats.messages_dropped,
+            stolen_tasks: load(&self.stolen_tasks),
+            steals: self.worker_queues.steals(),
+            steal_failures: self.worker_queues.steal_failures(),
+            pop_contention: load(&self.pop_contention),
+            total_mining_time: Duration::from_nanos(load(&self.mining_nanos)),
+            total_materialization_time: Duration::from_nanos(load(&self.materialization_nanos)),
+            task_times: self.task_times.into_inner(),
+            ..EngineMetrics::default()
+        };
+        EngineOutput {
+            results,
+            metrics,
+            index: Some(self.table.index().clone()),
+        }
+    }
+
+    /// The mining threads of `machine`.
+    fn workers_of(&self, machine: usize) -> Range<usize> {
+        let tpm = self.config.threads_per_machine;
+        machine * tpm..(machine + 1) * tpm
+    }
+
+    /// True while `machine` holds queued tasks or unspawned vertices.
+    pub(crate) fn has_work(&self, machine: usize) -> bool {
+        let state = &self.machines[machine];
+        state.global_queue.lock().total_pending() > 0
+            || self
+                .workers_of(machine)
+                .any(|w| self.worker_queues.approx_len(w) > 0)
+            || !state.spawn_cursor.lock().is_empty()
+    }
+
+    /// True while `machine` waits for the ack of a steal grant it sent.
+    pub(crate) fn has_unacked_grants(&self, machine: usize) -> bool {
+        !self.machines[machine].grants_out.lock().is_empty()
+    }
+
+    /// The vertices `machine` has not spawned yet.
+    pub(crate) fn unspawned_vertices(&self, machine: usize) -> Vec<VertexId> {
+        self.machines[machine]
+            .spawn_cursor
+            .lock()
+            .iter()
+            .copied()
+            .collect()
+    }
+
+    fn root_of(&self, task: &A::Task) -> u32 {
+        self.app.task_label(task).root.map_or(ROOTLESS, |v| v.raw())
+    }
+
+    /// Records `rows`; `root` names the root whose work emitted them and is
+    /// evaluated only when root hooks are set.
+    fn emit(&self, root: impl FnOnce() -> u32, rows: Vec<Vec<VertexId>>) {
+        if rows.is_empty() {
+            return;
+        }
+        match self.hooks {
+            Some(hooks) => hooks.emitted(root(), rows),
+            None => self.results.lock().extend(rows),
+        }
+    }
+
     fn add_active_bytes(&self, bytes: u64) {
         // ordering: Relaxed — live-bytes gauge and its peak are advisory
         // accounting; no synchronisation piggybacks on them.
@@ -142,79 +376,8 @@ impl<A: GThinkerApp> Cluster<A> {
     pub fn run(&self, graph: Arc<Graph>) -> EngineOutput {
         let start = Instant::now();
         let config = &self.config;
-        // Reuse the caller's per-graph index when one was threaded through
-        // (session/service layers build it once per graph); otherwise build
-        // per the configured policy.
-        let (index, shared_index_reused) = match &config.shared_index {
-            Some(shared) if Arc::ptr_eq(shared.graph(), &graph) => (shared.clone(), true),
-            _ => (
-                Arc::new(qcm_graph::NeighborhoodIndex::build(graph, config.index)),
-                false,
-            ),
-        };
-        let table = PartitionedVertexTable::with_index(index.clone(), config.num_machines);
-        let spill_metrics = Arc::new(SpillMetrics::default());
-        let fetch_metrics = Arc::new(FetchMetrics::default());
         let transport = config.transport.build(config.num_machines);
-        transport.bind(&table);
-
-        let machines: Vec<MachineState<A::Task>> = (0..config.num_machines)
-            .map(|m| {
-                let owned: VecDeque<VertexId> = table.owned_vertices(m).into();
-                MachineState {
-                    global_queue: Mutex::new(TaskQueue::new(
-                        config.global_queue_capacity,
-                        config.batch_size,
-                        SpillStore::new(
-                            config.spill_dir.clone(),
-                            format!("m{m}-global"),
-                            spill_metrics.clone(),
-                        ),
-                    )),
-                    spawn_cursor: Mutex::new(owned),
-                    data: DataService::new(
-                        table.clone(),
-                        m,
-                        config.vertex_cache_capacity,
-                        fetch_metrics.clone(),
-                        transport.clone(),
-                        config.pull_timeout,
-                        config.pull_retries,
-                    ),
-                }
-            })
-            .collect();
-
-        let unspawned_total: usize = table.graph().num_vertices();
-        let shared = SharedState {
-            app: self.app.as_ref(),
-            config,
-            table,
-            machines,
-            worker_queues: WorkerQueues::new(
-                config.total_threads(),
-                config.local_capacity,
-                config.steal_batch,
-            ),
-            transport: transport.clone(),
-            steal_seq: AtomicU64::new(0),
-            faulted: AtomicBool::new(false),
-            pending_tasks: AtomicUsize::new(0),
-            unspawned: AtomicUsize::new(unspawned_total),
-            done: AtomicBool::new(false),
-            interrupted: AtomicBool::new(false),
-            results: Mutex::new(Vec::new()),
-            task_times: Mutex::new(Vec::new()),
-            tasks_spawned: AtomicU64::new(0),
-            tasks_processed: AtomicU64::new(0),
-            tasks_decomposed: AtomicU64::new(0),
-            active_task_bytes: AtomicU64::new(0),
-            peak_task_bytes: AtomicU64::new(0),
-            mining_nanos: AtomicU64::new(0),
-            materialization_nanos: AtomicU64::new(0),
-            stolen_tasks: AtomicU64::new(0),
-            pop_contention: AtomicU64::new(0),
-        };
+        let shared = SharedState::new(self.app.as_ref(), config, graph, transport, None);
 
         let total_workers = config.total_threads();
         let worker_busy: Mutex<Vec<Duration>> = Mutex::new(vec![Duration::ZERO; total_workers]);
@@ -236,77 +399,75 @@ impl<A: GThinkerApp> Cluster<A> {
             }
         });
 
-        let results = shared.results.into_inner();
-        let transport_stats = transport.stats();
-        let metrics = EngineMetrics {
-            elapsed: start.elapsed(),
-            shared_index_reused,
-            // ordering: Relaxed — read after the worker scope joined; the join
-            // edge already orders every worker's counter writes before these loads.
-            tasks_spawned: shared.tasks_spawned.load(Ordering::Relaxed),
-            tasks_processed: shared.tasks_processed.load(Ordering::Relaxed),
-            tasks_decomposed: shared.tasks_decomposed.load(Ordering::Relaxed),
-            results_emitted: results.len() as u64,
-            peak_task_bytes: shared.peak_task_bytes.load(Ordering::Relaxed),
-            spill_bytes_written: spill_metrics.bytes_written.load(Ordering::Relaxed),
-            spill_bytes_read: spill_metrics.bytes_read.load(Ordering::Relaxed),
-            spill_peak_bytes: spill_metrics.peak_bytes.load(Ordering::Relaxed),
-            local_reads: fetch_metrics.local_reads.load(Ordering::Relaxed),
-            remote_fetches: fetch_metrics.remote_fetches.load(Ordering::Relaxed),
-            remote_bytes: fetch_metrics.remote_bytes.load(Ordering::Relaxed),
-            cache_hits: fetch_metrics.cache_hits.load(Ordering::Relaxed),
-            cache_evictions: fetch_metrics.cache_evictions.load(Ordering::Relaxed),
-            pull_retries: fetch_metrics.pull_retries.load(Ordering::Relaxed),
-            pull_failures: fetch_metrics.pull_failures.load(Ordering::Relaxed),
-            transport_messages: transport_stats.messages_sent,
-            transport_dropped: transport_stats.messages_dropped,
-            virtual_time: None,
-            stolen_tasks: shared.stolen_tasks.load(Ordering::Relaxed),
-            steals: shared.worker_queues.steals(),
-            steal_failures: shared.worker_queues.steal_failures(),
-            pop_contention: shared.pop_contention.load(Ordering::Relaxed),
-            total_mining_time: Duration::from_nanos(shared.mining_nanos.load(Ordering::Relaxed)),
-            total_materialization_time: Duration::from_nanos(
-                shared.materialization_nanos.load(Ordering::Relaxed),
-            ),
-            task_times: shared.task_times.into_inner(),
-            worker_busy: worker_busy.into_inner(),
-            // Interrupted iff work was actually dropped: a task truncated its
-            // own backtracking, a queued/in-flight task was abandoned, a
-            // vertex was never spawned, or a fault lost part of the workload.
-            // A cancellation that fires after the pool drained leaves the run
-            // Complete; dropped work with no cancellation to blame is a fault.
-            // ordering: Acquire — redundant after the join edge, kept to mirror
-            // the in-run readers of these control flags.
-            outcome: if shared.interrupted.load(Ordering::Acquire)
-                || shared.pending_tasks.load(Ordering::Acquire) > 0
-                || shared.unspawned.load(Ordering::Acquire) > 0
-                || shared.faulted.load(Ordering::Acquire)
-            {
-                match config.cancel.run_outcome() {
-                    RunOutcome::Complete => RunOutcome::Faulted,
-                    cancelled => cancelled,
-                }
-            } else {
-                RunOutcome::Complete
-            },
+        // Interrupted iff work was actually dropped: a task truncated its
+        // own backtracking, a queued/in-flight task was abandoned, a vertex
+        // was never spawned, or a fault lost part of the workload. A
+        // cancellation that fires after the pool drained leaves the run
+        // Complete; dropped work with no cancellation to blame is a fault.
+        // ordering: Acquire — redundant after the join edge, kept to mirror
+        // the in-run readers of these control flags.
+        let outcome = if shared.interrupted()
+            || shared.pending_tasks.load(Ordering::Acquire) > 0
+            || shared.unspawned.load(Ordering::Acquire) > 0
+            || shared.faulted.load(Ordering::Acquire)
+        {
+            match config.cancel.run_outcome() {
+                RunOutcome::Complete => RunOutcome::Faulted,
+                cancelled => cancelled,
+            }
+        } else {
+            RunOutcome::Complete
         };
-        EngineOutput {
-            results,
-            metrics,
-            index: Some(index),
-        }
+        let mut output = shared.into_output();
+        output.metrics.elapsed = start.elapsed();
+        output.metrics.worker_busy = worker_busy.into_inner();
+        output.metrics.outcome = outcome;
+        output
     }
 }
 
-/// Main loop of one mining thread (the reforged Algorithm 3, on the
-/// work-stealing pop path).
+/// What one worker step did.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum Step {
+    /// Popped a task and processed it to completion (or abandonment).
+    Processed,
+    /// Spawned a batch of root tasks.
+    Spawned,
+    /// Found nothing to pop and nothing to spawn.
+    Idle,
+}
+
+/// One scheduling step of mining thread `worker_id` on `machine_id` (the
+/// reforged Algorithm 3, on the work-stealing pop path): drain the machine's
+/// mailbox, then pop and process one task, else spawn one batch of roots.
+///
+/// The mailbox goes first: steal grants refill the global queue and must
+/// land before the pop, or an in-flight batch could starve behind idle
+/// workers.
+pub(crate) fn step<A: GThinkerApp>(
+    shared: &SharedState<'_, A>,
+    machine_id: usize,
+    worker_id: usize,
+    scratch: &mut MiningScratch,
+) -> Step {
+    pump_inbox(shared, machine_id);
+    if let Some(task) = pop_task(shared, machine_id, worker_id) {
+        process_task(shared, machine_id, worker_id, scratch, task);
+        return Step::Processed;
+    }
+    if spawn_batch(shared, machine_id, worker_id) {
+        return Step::Spawned;
+    }
+    Step::Idle
+}
+
+/// Main loop of one mining thread: [`step`] until the run is done or
+/// cancelled.
 fn worker_loop<A: GThinkerApp>(
     shared: &SharedState<'_, A>,
     machine_id: usize,
     worker_id: usize,
 ) -> Duration {
-    let config = shared.config;
     // Tag this thread's trace lane with its (simulated) machine, so the
     // Chrome export renders one swimlane group per machine.
     qcm_obs::set_lane(machine_id as u32);
@@ -325,25 +486,15 @@ fn worker_loop<A: GThinkerApp>(
         // tell every other worker to drain out. Results emitted so far are
         // kept; whether the run counts as interrupted is decided after all
         // workers exit, from the work that actually remained.
-        if config.cancel.is_cancelled() {
+        if shared.config.cancel.is_cancelled() {
             // ordering: Release — publishes everything this thread wrote before
             // finishing; pairs with the Acquire polls of `done`.
             shared.done.store(true, Ordering::Release);
             broadcast_shutdown(shared, machine_id);
             break;
         }
-        // Drain this machine's transport mailbox first: steal grants refill
-        // the global queue and must land before the idle check below, or an
-        // in-flight batch could starve behind sleeping workers.
-        pump_inbox(shared, machine_id);
-        if let Some(task) = pop_task(shared, machine_id, worker_id) {
-            let t0 = Instant::now();
-            process_task(shared, machine_id, worker_id, &mut scratch, task);
-            busy += t0.elapsed();
-            continue;
-        }
         let t0 = Instant::now();
-        if spawn_batch(shared, machine_id, worker_id) {
+        if step(shared, machine_id, worker_id, &mut scratch) != Step::Idle {
             busy += t0.elapsed();
             continue;
         }
@@ -383,98 +534,181 @@ fn broadcast_shutdown<A: GThinkerApp>(shared: &SharedState<'_, A>, machine_id: u
 /// Drains and handles every message currently queued for `machine_id`.
 ///
 /// Any worker of the machine may pump; the mailbox is machine-addressed, not
-/// worker-addressed. Pull requests are answered defensively (the in-process
-/// transport serves pulls synchronously itself, so none should appear here,
-/// but a split-phase transport stays live), steal requests are granted from
-/// the machine's big-task lane, grants are decoded into it.
-fn pump_inbox<A: GThinkerApp>(shared: &SharedState<'_, A>, machine_id: usize) {
+/// worker-addressed.
+pub(crate) fn pump_inbox<A: GThinkerApp>(shared: &SharedState<'_, A>, machine_id: usize) {
     while let Some(env) = shared.transport.try_recv(machine_id) {
-        match env.msg {
-            EngineMsg::PullRequest { token, vertices } => {
-                let lists = vertices
-                    .iter()
-                    .map(|&v| (v, Arc::new(shared.table.adjacency(v).to_vec())))
-                    .collect();
-                let _ = shared.transport.send(
-                    machine_id,
-                    env.from,
-                    EngineMsg::PullResponse { token, lists },
-                );
+        handle_message(shared, machine_id, env);
+    }
+}
+
+/// The engine's one message handler. Steal requests are granted from the
+/// machine's big-task lane, grants are decoded into it and acked, and acks
+/// release the donor's retransmit buffer.
+fn handle_message<A: GThinkerApp>(shared: &SharedState<'_, A>, machine_id: usize, env: Envelope) {
+    let state = &shared.machines[machine_id];
+    match env.msg {
+        // Pulls never reach a mailbox: `Transport::pull` is the one pull
+        // path, and every transport answers it itself.
+        EngineMsg::PullRequest { .. } | EngineMsg::PullResponse { .. } => {}
+        EngineMsg::StealRequest { seq, count } => {
+            let batch = state.global_queue.lock().take_batch(count as usize);
+            if batch.is_empty() {
+                return;
             }
-            // Stray pull response (its requester already timed out): ignore.
-            EngineMsg::PullResponse { .. } => {}
-            EngineMsg::StealRequest { seq, count } => {
-                let batch = shared.machines[machine_id]
-                    .global_queue
-                    .lock()
-                    .take_batch(count as usize);
-                if batch.is_empty() {
-                    continue;
-                }
-                let tasks: Vec<Vec<u8>> = batch
-                    .iter()
-                    .map(|t| {
-                        let mut buf = Vec::new();
-                        t.encode(&mut buf);
-                        buf
-                    })
-                    .collect();
-                if shared
-                    .transport
-                    .send(machine_id, env.from, EngineMsg::StealGrant { seq, tasks })
-                    .is_err()
-                {
-                    // Unreachable peer: keep the batch local rather than lose it.
-                    let mut gq = shared.machines[machine_id].global_queue.lock();
-                    for t in batch {
-                        gq.push(t);
-                    }
+            let tasks: Vec<Vec<u8>> = batch
+                .iter()
+                .map(|t| {
+                    let mut buf = Vec::new();
+                    t.encode(&mut buf);
+                    buf
+                })
+                .collect();
+            let roots = match shared.hooks {
+                Some(_) => batch.iter().map(|t| shared.root_of(t)).collect(),
+                None => Vec::new(),
+            };
+            // Recorded before the send, so an ack can never overtake it.
+            state.grants_out.lock().insert(
+                seq,
+                PendingGrant {
+                    to: env.from,
+                    tasks: tasks.clone(),
+                    roots,
+                    retries: 0,
+                },
+            );
+            let grant = EngineMsg::StealGrant { seq, tasks };
+            if shared.transport.send(machine_id, env.from, grant).is_err() {
+                // Unreachable peer: keep the batch local rather than lose it.
+                state.grants_out.lock().remove(&seq);
+                let mut gq = state.global_queue.lock();
+                for t in batch {
+                    gq.push(t);
                 }
             }
-            EngineMsg::StealGrant { seq, tasks } => {
-                let mut decoded = Vec::with_capacity(tasks.len());
-                let mut lost = 0usize;
-                for buf in &tasks {
-                    let mut slice = buf.as_slice();
-                    match <A::Task as TaskCodec>::decode(&mut slice) {
-                        Some(t) => decoded.push(t),
-                        None => lost += 1,
-                    }
-                }
-                if lost > 0 {
-                    // An undecodable task can never run: release its pending
-                    // slot so the pool still drains, and label the run.
-                    // ordering: Release — the fault flag must be visible before the
-                    // pending slot it excuses is released.
-                    shared.faulted.store(true, Ordering::Release);
-                    // ordering: AcqRel — counter protocol: a decrement publishes the work
-                    // accounted to the slot and joins prior decrements, so a zero read
-                    // proves global completion.
-                    shared.pending_tasks.fetch_sub(lost, Ordering::AcqRel);
-                }
-                let n = decoded.len() as u64;
-                if n > 0 {
-                    let mut gq = shared.machines[machine_id].global_queue.lock();
-                    for t in decoded {
-                        gq.push(t);
-                    }
-                    // ordering: Relaxed — statistics counter; no other memory depends on it and readers tolerate skew.
-                    shared.stolen_tasks.fetch_add(n, Ordering::Relaxed);
-                }
-                let _ = shared
-                    .transport
-                    .send(machine_id, env.from, EngineMsg::StealAck { seq });
+        }
+        EngineMsg::StealGrant { seq, tasks } => {
+            if state.grants_in.lock().insert(seq) {
+                accept_grant(shared, machine_id, &tasks);
             }
-            // The in-process transport is lossless once a grant is enqueued,
-            // so the ack closes the loop without retransmit state.
-            EngineMsg::StealAck { .. } => {}
-            // Load hints from other machines' spill paths; the balancer reads
-            // authoritative queue depths directly, so these are informational.
-            EngineMsg::SpillNotice { .. } | EngineMsg::RefillNotice { .. } => {}
-            EngineMsg::Shutdown => {
-                // ordering: Release — publishes everything this thread wrote before
-                // finishing; pairs with the Acquire polls of `done`.
-                shared.done.store(true, Ordering::Release);
+            // Ack duplicates too: the donor resent because our ack was lost.
+            let _ = shared
+                .transport
+                .send(machine_id, env.from, EngineMsg::StealAck { seq });
+        }
+        EngineMsg::StealAck { seq } => {
+            state.grants_out.lock().remove(&seq);
+        }
+        EngineMsg::Shutdown => {
+            // ordering: Release — publishes everything this thread wrote before
+            // finishing; pairs with the Acquire polls of `done`.
+            shared.done.store(true, Ordering::Release);
+        }
+    }
+}
+
+/// Decodes a granted batch into `machine_id`'s big-task lane.
+fn accept_grant<A: GThinkerApp>(shared: &SharedState<'_, A>, machine_id: usize, tasks: &[Vec<u8>]) {
+    let mut decoded = Vec::with_capacity(tasks.len());
+    for buf in tasks {
+        let mut slice = buf.as_slice();
+        match <A::Task as TaskCodec>::decode(&mut slice) {
+            Some(t) => decoded.push(t),
+            None => {
+                // An undecodable task can never run, and its root is
+                // unknowable: release its pending slot so the pool still
+                // drains, and label the run.
+                // ordering: Release — the fault flag must be visible before the
+                // pending slot it excuses is released.
+                shared.faulted.store(true, Ordering::Release);
+                // ordering: AcqRel — counter protocol: a decrement publishes the work
+                // accounted to the slot and joins prior decrements, so a zero read
+                // proves global completion.
+                shared.pending_tasks.fetch_sub(1, Ordering::AcqRel);
+                if let Some(hooks) = shared.hooks {
+                    hooks.lost(ROOTLESS);
+                }
+            }
+        }
+    }
+    let n = decoded.len() as u64;
+    if n > 0 {
+        let mut gq = shared.machines[machine_id].global_queue.lock();
+        for t in decoded {
+            gq.push(t);
+        }
+        // ordering: Relaxed — statistics counter; no other memory depends on it and readers tolerate skew.
+        shared.stolen_tasks.fetch_add(n, Ordering::Relaxed);
+    }
+}
+
+/// What became of an unacknowledged steal grant when its ack timer fired.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub(crate) enum GrantFate {
+    /// The ack had arrived; nothing to do.
+    Acked,
+    /// The grant was sent again.
+    Resent,
+    /// The retry budget is spent: the grant's tasks are reported lost.
+    Lost {
+        /// The machine the grant was addressed to.
+        to: usize,
+    },
+}
+
+/// Resends steal grant `seq` of `machine` if its ack is still missing, at
+/// most `max_retries` times; after that the donor gives the batch up and
+/// reports its roots lost. Only a lossy transport needs this: the fault
+/// simulator calls it when a grant's ack timer fires, while the in-process
+/// transport never loses a grant.
+pub(crate) fn resend_grant<A: GThinkerApp>(
+    shared: &SharedState<'_, A>,
+    machine: usize,
+    seq: u64,
+    max_retries: u32,
+) -> GrantFate {
+    let mut out = shared.machines[machine].grants_out.lock();
+    let Some(grant) = out.get_mut(&seq) else {
+        return GrantFate::Acked;
+    };
+    if grant.retries < max_retries {
+        grant.retries += 1;
+        let (to, tasks) = (grant.to, grant.tasks.clone());
+        drop(out);
+        let _ = shared
+            .transport
+            .send(machine, to, EngineMsg::StealGrant { seq, tasks });
+        return GrantFate::Resent;
+    }
+    let Some(grant) = out.remove(&seq) else {
+        return GrantFate::Acked;
+    };
+    drop(out);
+    if let Some(hooks) = shared.hooks {
+        for &root in &grant.roots {
+            hooks.lost(root);
+        }
+    }
+    GrantFate::Lost { to: grant.to }
+}
+
+/// Drops everything `machine` holds — its global queue with its spilled
+/// batches, its workers' deques and its unacknowledged steal grants — and
+/// reports each lost task's root (a crash, in the fault simulator).
+pub(crate) fn drain_machine<A: GThinkerApp>(shared: &SharedState<'_, A>, machine: usize) {
+    let state = &shared.machines[machine];
+    let mut tasks = state.global_queue.lock().drain_all();
+    for worker in shared.workers_of(machine) {
+        tasks.extend(shared.worker_queues.take_all(worker));
+    }
+    let grants = std::mem::take(&mut *state.grants_out.lock());
+    if let Some(hooks) = shared.hooks {
+        for task in &tasks {
+            hooks.lost(shared.root_of(task));
+        }
+        for grant in grants.values() {
+            for &root in &grant.roots {
+                hooks.lost(root);
             }
         }
     }
@@ -510,19 +744,6 @@ fn pop_task<A: GThinkerApp>(
                 } else {
                     refill_span.cancel();
                 }
-                if restored > 0 {
-                    // Lock order is global-queue → inbox here and inbox →
-                    // global-queue in the pump, but the pump releases the
-                    // inbox lock before touching the queue, so no cycle.
-                    notify_master(
-                        shared,
-                        machine_id,
-                        EngineMsg::RefillNotice {
-                            machine: machine_id as u32,
-                            restored: restored as u32,
-                        },
-                    );
-                }
             }
             if let Some(task) = gq.pop() {
                 return Some(task);
@@ -533,11 +754,11 @@ fn pop_task<A: GThinkerApp>(
             shared.pop_contention.fetch_add(1, Ordering::Relaxed);
         }
     }
-    let tpm = shared.config.threads_per_machine;
-    let siblings = machine_id * tpm..(machine_id + 1) * tpm;
     // Steal span: recorded only when the sweep actually moved a task.
     let mut steal_span = qcm_obs::span(qcm_obs::SpanKind::Steal);
-    let stolen = shared.worker_queues.steal_into(worker_id, siblings);
+    let stolen = shared
+        .worker_queues
+        .steal_into(worker_id, shared.workers_of(machine_id));
     if stolen.is_none() {
         steal_span.cancel();
     }
@@ -555,47 +776,26 @@ fn route_task<A: GThinkerApp>(
     worker_id: usize,
     task: A::Task,
 ) -> bool {
+    if let Some(hooks) = shared.hooks {
+        hooks.created(shared.root_of(&task));
+    }
     let big = shared.app.is_big(&task);
     // Spill span: measures the push-with-possible-spill; cancelled (nothing
     // recorded) when the push stayed in memory.
     let mut spill_span = qcm_obs::span(qcm_obs::SpanKind::Spill);
-    let (spilled, pending) = if big {
-        let mut gq = shared.machines[machine_id].global_queue.lock();
-        (gq.push(task), gq.total_pending())
+    let spilled = if big {
+        shared.machines[machine_id].global_queue.lock().push(task)
     } else if let Err(task) = shared.worker_queues.push_local(worker_id, task) {
-        let mut gq = shared.machines[machine_id].global_queue.lock();
-        (gq.push(task), gq.total_pending())
+        shared.machines[machine_id].global_queue.lock().push(task)
     } else {
-        (0, 0)
+        0
     };
     if spilled > 0 {
         spill_span.set_arg(spilled as u64);
     } else {
         spill_span.cancel();
     }
-    if spilled > 0 {
-        // Tell the master this machine is under memory pressure; the
-        // balancer reads authoritative depths itself, so the notice is a
-        // protocol-level load hint (and shows up in simulator event logs).
-        notify_master(
-            shared,
-            machine_id,
-            EngineMsg::SpillNotice {
-                machine: machine_id as u32,
-                pending: pending as u64,
-            },
-        );
-    }
     big
-}
-
-/// Sends a notice to machine 0, where the master balancer conceptually
-/// lives. Self-notices (machine 0's own spills) are observed locally and not
-/// sent.
-fn notify_master<A: GThinkerApp>(shared: &SharedState<'_, A>, machine_id: usize, msg: EngineMsg) {
-    if shared.config.num_machines > 1 && machine_id != 0 {
-        let _ = shared.transport.send(machine_id, 0, msg);
-    }
 }
 
 /// Spawns up to one batch of root tasks from the machine's spawn cursor,
@@ -629,23 +829,7 @@ fn spawn_batch<A: GThinkerApp>(
         // remains.
         shared.unspawned.fetch_sub(1, Ordering::AcqRel);
         consumed_any = true;
-
-        let adj = shared.table.adjacency(v).to_vec();
-        let mut ctx = ComputeContext::new();
-        shared.app.spawn(v, &adj, &mut ctx);
-        if !ctx.results.is_empty() {
-            let mut results = shared.results.lock();
-            results.extend(ctx.results);
-        }
-        let mut spawned_big = false;
-        for task in ctx.new_tasks {
-            // ordering: AcqRel — counter protocol (see worker_loop's zero check):
-            // the increment lands before the task becomes poppable.
-            shared.pending_tasks.fetch_add(1, Ordering::AcqRel);
-            // ordering: Relaxed — statistics counter; no other memory depends on it and readers tolerate skew.
-            shared.tasks_spawned.fetch_add(1, Ordering::Relaxed);
-            spawned_big |= route_task(shared, machine_id, worker_id, task);
-        }
+        let spawned_big = spawn_vertex(shared, machine_id, worker_id, v);
         // ordering: AcqRel — counter protocol: releases this task's pending
         // slot after its effects are written.
         shared.pending_tasks.fetch_sub(1, Ordering::AcqRel);
@@ -654,6 +838,31 @@ fn spawn_batch<A: GThinkerApp>(
         }
     }
     consumed_any
+}
+
+/// Runs the application's `spawn` on `v` and routes the tasks it creates.
+/// Returns true if one of them is big. The fault simulator also calls this
+/// to respawn a root whose work was lost.
+pub(crate) fn spawn_vertex<A: GThinkerApp>(
+    shared: &SharedState<'_, A>,
+    machine_id: usize,
+    worker_id: usize,
+    v: VertexId,
+) -> bool {
+    let adj = shared.table.adjacency(v).to_vec();
+    let mut ctx = ComputeContext::new();
+    shared.app.spawn(v, &adj, &mut ctx);
+    shared.emit(|| v.raw(), ctx.results);
+    let mut spawned_big = false;
+    for task in ctx.new_tasks {
+        // ordering: AcqRel — counter protocol (see worker_loop's zero check):
+        // the increment lands before the task becomes poppable.
+        shared.pending_tasks.fetch_add(1, Ordering::AcqRel);
+        // ordering: Relaxed — statistics counter; no other memory depends on it and readers tolerate skew.
+        shared.tasks_spawned.fetch_add(1, Ordering::Relaxed);
+        spawned_big |= route_task(shared, machine_id, worker_id, task);
+    }
+    spawned_big
 }
 
 /// Processes one task to completion: repeatedly resolves its pending pulls
@@ -694,6 +903,9 @@ fn process_task<A: GThinkerApp>(
                         // ordering: Release — the fault flag must be visible before the
                         // pending slot it excuses is released.
                         shared.faulted.store(true, Ordering::Release);
+                        if let Some(hooks) = shared.hooks {
+                            hooks.lost(shared.root_of(&task));
+                        }
                         shared.machines[machine_id].data.flush(&mut fetch_scratch);
                         shared.sub_active_bytes(mem);
                         // ordering: AcqRel — counter protocol: releases this task's pending
@@ -717,9 +929,7 @@ fn process_task<A: GThinkerApp>(
             // check.
             shared.interrupted.store(true, Ordering::Release);
         }
-        if !ctx.results.is_empty() {
-            shared.results.lock().extend(ctx.results);
-        }
+        shared.emit(|| shared.root_of(&task), ctx.results);
         for subtask in ctx.new_tasks {
             // ordering: AcqRel — counter protocol (see worker_loop's zero check):
             // the increment lands before the task becomes poppable.
@@ -742,6 +952,9 @@ fn process_task<A: GThinkerApp>(
     }
     let label = shared.app.task_label(&task);
     task_span.set_arg(label.root.map_or(0, |v| u64::from(v.raw())));
+    if let Some(hooks) = shared.hooks {
+        hooks.finished(label.root.map_or(ROOTLESS, |v| v.raw()));
+    }
     shared.machines[machine_id].data.flush(&mut fetch_scratch);
     shared.sub_active_bytes(mem);
     // ordering: Relaxed — statistics counter; no other memory depends on it and readers tolerate skew.
@@ -765,40 +978,45 @@ fn process_task<A: GThinkerApp>(
     shared.pending_tasks.fetch_sub(1, Ordering::AcqRel);
 }
 
-/// Master load-balancing loop: every `balance_period`, even out pending big
-/// tasks across machines by asking the richest machine to grant a batch to
-/// the poorest (Section 5's stealing plan). The move itself is
-/// message-passing: the master sends an [`EngineMsg::StealRequest`] on the
-/// poor machine's behalf, the rich machine's workers answer with an
-/// [`EngineMsg::StealGrant`] carrying the serialised batch, and the poor
-/// machine decodes it into its big-task lane and acks. Queue depths are read
-/// through the shared locks — a control-plane read the master performs
-/// directly, the way G-thinker's master aggregates load reports.
-fn balancer_loop<A: GThinkerApp>(shared: &SharedState<'_, A>) {
-    let config = shared.config;
-    // ordering: Acquire — same pairing as the worker-loop `done` poll.
-    while !shared.done.load(Ordering::Acquire) {
-        qcm_sync::thread::sleep(config.balance_period);
-        let counts: Vec<usize> = shared
-            .machines
-            .iter()
-            .map(|m| m.global_queue.lock().total_pending())
-            .collect();
-        let total: usize = counts.iter().sum();
-        if total == 0 {
-            continue;
-        }
-        let avg = total / counts.len();
-        let Some((rich, &rich_count)) = counts.iter().enumerate().max_by_key(|(_, &c)| c) else {
-            continue;
-        };
-        let Some((poor, &poor_count)) = counts.iter().enumerate().min_by_key(|(_, &c)| c) else {
-            continue;
-        };
-        if rich == poor || rich_count <= poor_count + 1 || rich_count <= avg {
-            continue;
-        }
-        let to_move = config.batch_size.min((rich_count - poor_count) / 2).max(1);
+/// The master's balancing decision, a pure function of each machine's
+/// pending big-task depth (`None` for a machine that cannot take part, such
+/// as a crashed one): the deepest machine donates to the shallowest when it
+/// holds at least two more tasks, moving half the difference, capped at
+/// `batch_size`. Returns `(rich, poor, count)`.
+pub(crate) fn plan_steal(
+    depths: &[Option<usize>],
+    batch_size: usize,
+) -> Option<(usize, usize, usize)> {
+    let candidates = depths
+        .iter()
+        .enumerate()
+        .filter_map(|(m, depth)| depth.map(|d| (m, d)));
+    let (rich, rich_count) = candidates.clone().max_by_key(|&(_, d)| d)?;
+    let (poor, poor_count) = candidates.min_by_key(|&(_, d)| d)?;
+    if rich_count <= poor_count + 1 {
+        return None;
+    }
+    let count = batch_size.min((rich_count - poor_count) / 2).max(1);
+    Some((rich, poor, count))
+}
+
+/// One pass of the master load balancer (Section 5's stealing plan): reads
+/// every machine's pending big-task depth and, when [`plan_steal`] finds an
+/// imbalance, sends an [`EngineMsg::StealRequest`] to the rich machine on
+/// the poor machine's behalf. The rich machine's step answers with an
+/// [`EngineMsg::StealGrant`] carrying the serialised batch; the poor machine
+/// decodes it into its big-task lane and acks. `up` says which machines may
+/// take part. Queue depths are read through the shared locks — a
+/// control-plane read the master performs directly, the way G-thinker's
+/// master aggregates load reports.
+pub(crate) fn balance<A: GThinkerApp>(shared: &SharedState<'_, A>, up: impl Fn(usize) -> bool) {
+    let depths: Vec<Option<usize>> = shared
+        .machines
+        .iter()
+        .enumerate()
+        .map(|(m, state)| up(m).then(|| state.global_queue.lock().total_pending()))
+        .collect();
+    if let Some((rich, poor, count)) = plan_steal(&depths, shared.config.batch_size) {
         // ordering: Relaxed — unique sequence numbers only need RMW atomicity.
         let seq = shared.steal_seq.fetch_add(1, Ordering::Relaxed);
         let _ = shared.transport.send(
@@ -806,8 +1024,121 @@ fn balancer_loop<A: GThinkerApp>(shared: &SharedState<'_, A>) {
             rich,
             EngineMsg::StealRequest {
                 seq,
-                count: to_move as u32,
+                count: count as u32,
             },
         );
+    }
+}
+
+/// The master load-balancer thread: one [`balance`] pass every
+/// `balance_period` until the run is done.
+fn balancer_loop<A: GThinkerApp>(shared: &SharedState<'_, A>) {
+    // ordering: Acquire — same pairing as the worker-loop `done` poll.
+    while !shared.done.load(Ordering::Acquire) {
+        qcm_sync::thread::sleep(shared.config.balance_period);
+        balance(shared, |_| true);
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::sim::tests::{ring, EchoApp};
+    use crate::transport::TransportFactory;
+
+    #[test]
+    fn plan_steal_moves_half_the_gap_from_deepest_to_shallowest() {
+        assert_eq!(plan_steal(&[Some(10), Some(2)], 16), Some((0, 1, 4)));
+        // Capped at the batch size, at least one task.
+        assert_eq!(plan_steal(&[Some(0), Some(40)], 4), Some((1, 0, 4)));
+        assert_eq!(plan_steal(&[Some(3), Some(1)], 4), Some((0, 1, 1)));
+        // A gap of one is not worth a round trip; nothing queued, nothing
+        // to move.
+        assert_eq!(plan_steal(&[Some(3), Some(2), Some(3)], 4), None);
+        assert_eq!(plan_steal(&[Some(0), Some(0)], 4), None);
+        // Machines that cannot take part are neither donors nor receivers.
+        assert_eq!(plan_steal(&[Some(9), None, Some(5)], 4), Some((0, 2, 2)));
+        assert_eq!(plan_steal(&[None, Some(9), None], 4), None);
+    }
+
+    /// Delivers everything queued for `to` to the handler, as sent by `from`.
+    fn deliver(shared: &SharedState<'_, EchoApp>, from: usize, to: usize) -> Vec<EngineMsg> {
+        let msgs: Vec<EngineMsg> = std::iter::from_fn(|| shared.transport.try_recv(to))
+            .map(|env| env.msg)
+            .collect();
+        for msg in &msgs {
+            let env = Envelope {
+                from,
+                msg: msg.clone(),
+            };
+            handle_message(shared, to, env);
+        }
+        msgs
+    }
+
+    #[test]
+    fn handler_grants_acks_dedupes_and_resends_steals() {
+        let config = EngineConfig::cluster(2, 1);
+        let shared = SharedState::new(
+            &EchoApp,
+            &config,
+            ring(8),
+            TransportFactory::in_proc().build(2),
+            None,
+        );
+        // Every EchoApp task is big, so each spawn batch stops after one
+        // vertex; machine 0 queues its four roots in its big-task lane.
+        while spawn_batch(&shared, 0, 0) {}
+        balance(&shared, |_| true);
+        assert_eq!(
+            deliver(&shared, 1, 0),
+            [EngineMsg::StealRequest { seq: 0, count: 2 }]
+        );
+        assert!(shared.has_unacked_grants(0));
+
+        // The grant lands in machine 1's lane; resent, it is only acked again.
+        let grant = shared.transport.try_recv(1).unwrap();
+        shared.transport.send(0, 1, grant.msg.clone()).unwrap();
+        shared.transport.send(0, 1, grant.msg).unwrap();
+        deliver(&shared, 0, 1);
+        assert_eq!(shared.machines[1].global_queue.lock().total_pending(), 2);
+        assert_eq!(
+            deliver(&shared, 1, 0),
+            vec![EngineMsg::StealAck { seq: 0 }; 2]
+        );
+        assert!(!shared.has_unacked_grants(0));
+        assert_eq!(resend_grant(&shared, 0, 0, 3), GrantFate::Acked);
+
+        // An unacked grant is resent up to the budget, then given up.
+        handle_message(
+            &shared,
+            0,
+            Envelope {
+                from: 1,
+                msg: EngineMsg::StealRequest { seq: 7, count: 1 },
+            },
+        );
+        assert_eq!(resend_grant(&shared, 0, 7, 1), GrantFate::Resent);
+        assert_eq!(resend_grant(&shared, 0, 7, 1), GrantFate::Lost { to: 1 });
+        assert!(!shared.has_unacked_grants(0));
+    }
+
+    #[test]
+    fn step_spawns_processes_and_then_idles() {
+        let config = EngineConfig::single_machine(1);
+        let shared = SharedState::new(
+            &EchoApp,
+            &config,
+            ring(8),
+            TransportFactory::in_proc().build(1),
+            None,
+        );
+        let mut scratch = MiningScratch::default();
+        let steps: Vec<Step> = std::iter::repeat_with(|| step(&shared, 0, 0, &mut scratch))
+            .take_while(|&s| s != Step::Idle)
+            .collect();
+        assert_eq!(steps, [Step::Spawned, Step::Processed].repeat(8));
+        assert!(!shared.has_work(0));
+        assert_eq!(shared.into_output().metrics.tasks_processed, 8);
     }
 }

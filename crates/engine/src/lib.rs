@@ -21,6 +21,12 @@
 //! goes through the [`transport`] seam a real deployment would replace
 //! with sockets.
 //!
+//! The scheduler is written once, in [`cluster`]: a worker step, one message
+//! handler, one balance policy and one steal-grant protocol over shared
+//! per-machine state. [`Cluster`] runs it on real threads; [`SimCluster`]
+//! ([`sim`]) runs the same step single-threaded in virtual time under a
+//! seeded fault scenario.
+//!
 //! Applications implement [`GThinkerApp`] (the `spawn`/`compute` UDF pair plus
 //! the big-task classifier); the quasi-clique application lives in
 //! `qcm-parallel`.

@@ -52,7 +52,7 @@ impl<T: TaskCodec> TaskQueue<T> {
     /// Pushes a task to the tail. If the queue is full, a batch of `C` tasks
     /// from the tail is spilled to disk first to make room. Returns the
     /// number of tasks spilled (0 in the common case), so the caller can
-    /// raise a spill notice.
+    /// record a spill span.
     pub fn push(&mut self, task: T) -> usize {
         let mut spilled = 0;
         if self.deque.len() >= self.capacity {
@@ -96,6 +96,16 @@ impl<T: TaskCodec> TaskQueue<T> {
     pub fn take_batch(&mut self, n: usize) -> Vec<T> {
         let n = n.min(self.deque.len());
         self.deque.drain(..n).collect()
+    }
+
+    /// Removes every task, in memory and spilled (a crashed machine's lost
+    /// work).
+    pub(crate) fn drain_all(&mut self) -> Vec<T> {
+        let mut tasks: Vec<T> = self.deque.drain(..).collect();
+        while let Some(batch) = self.spill.refill::<T>() {
+            tasks.extend(batch);
+        }
+        tasks
     }
 }
 
@@ -193,5 +203,17 @@ mod tests {
         let taken = q.take_batch(10);
         assert_eq!(taken.len(), 2);
         assert!(q.take_batch(1).is_empty());
+    }
+
+    #[test]
+    fn drain_all_empties_memory_and_spill() {
+        let mut q = queue(4, 2);
+        for i in 0..10 {
+            q.push(T(i));
+        }
+        let mut drained: Vec<u32> = q.drain_all().into_iter().map(|t| t.0).collect();
+        drained.sort_unstable();
+        assert_eq!(drained, (0..10).collect::<Vec<_>>());
+        assert_eq!(q.total_pending(), 0);
     }
 }

@@ -1,65 +1,92 @@
 //! Deterministic discrete-event fault simulation of the engine.
 //!
-//! [`SimCluster`] runs a [`GThinkerApp`] over the same partitioned vertex
-//! table as the live [`crate::cluster::Cluster`], but on a single thread in
+//! [`SimCluster`] runs the live engine's scheduler — the same worker step,
+//! message handler, balance policy and steal-grant protocol that
+//! [`crate::cluster::Cluster`] runs on threads — on a single thread in
 //! *virtual time*: machines take turns according to a seeded discrete-event
-//! scheduler, every cross-machine message goes through [`SimTransport`] (the
-//! second [`Transport`] implementation) with configurable per-link latency and
-//! drop probability, and a scenario script can crash, restart, slow down or
-//! partition machines mid-run. The whole execution — including the random
-//! latency jitter and message losses — derives from one seed, so a
-//! 64-machine fault scenario replays byte-identically: the emitted event log
-//! (and its FNV-1a hash) is the determinism witness the test suite asserts
-//! on.
+//! scheduler, every cross-machine message and pull goes through
+//! [`SimTransport`] (the second [`Transport`] implementation) with
+//! configurable per-link latency and drop probability, and a scenario script
+//! can crash, restart, slow down or partition machines mid-run. The whole
+//! execution — including the random latency jitter and message losses —
+//! derives from one seed, so a 64-machine fault scenario replays
+//! byte-identically: the emitted event log (and its FNV-1a hash) is the
+//! determinism witness the test suite asserts on.
 //!
 //! Mechanics that differ from the live cluster, by design:
 //!
-//! * **Split-phase pulls.** The simulator is single-threaded, so a blocking
-//!   [`Transport::pull`] would deadlock it; tasks park with their outstanding
-//!   request set and resume when the responses arrive (exactly G-thinker's
-//!   suspended-task model). [`SimTransport::pull`] therefore returns
-//!   [`TransportError::Unsupported`].
+//! * **One mining thread per machine, one step per wake.** Thread counts are
+//!   not modelled. Each `Wake` event calls the shared worker step once: pump
+//!   the machine's mailbox, then pop and process one task to completion, else
+//!   spawn one batch. The wake costs [`SimConfig::compute_cost_us`] (a task)
+//!   or [`SimConfig::spawn_cost_us`] (a batch), times the machine's slowdown
+//!   factor, plus the network time of the pulls the step made; the machine's
+//!   next wake comes no earlier than that.
+//! * **Pulls are answered in virtual time, at the instant of the call.** A
+//!   task pulls through the live engine's blocking data service.
+//!   [`SimTransport::pull`] answers each attempt at once: it draws the fate
+//!   of the request and of the response from the seeded RNG and the current
+//!   crash/partition state, logs the round trip, and charges the two link
+//!   latencies — or, for a lost attempt, the engine's `pull_timeout` — to the
+//!   wake's cost. All attempts of one pull, retries included, are therefore
+//!   decided at the virtual instant the task made the call: a fault scheduled
+//!   while the wake's cost elapses cannot change them.
+//! * **Messages are handled on delivery.** A delivery puts the message into
+//!   the receiver's mailbox and runs the engine's mailbox pump at once — the
+//!   one a worker step starts with — the way a machine's communication
+//!   thread serves control traffic while its mining thread is busy. A
+//!   granted batch therefore lands, and an ack is seen, even while the
+//!   machine's current step is still costing virtual time.
+//! * **Lost steal grants are resent.** Every grant the network carries arms
+//!   an ack timer of `pull_timeout`. When it fires unacked, the shared grant
+//!   protocol resends the batch, up to [`SimConfig::grant_retries`] times,
+//!   and then gives its tasks up as lost. The in-process transport is
+//!   lossless and never needs this.
+//! * **Crashes drop a machine's work.** A crash empties the machine's global
+//!   queue (spilled batches included), its worker deque and its unacked
+//!   grants; messages still in flight to it are lost on arrival. Its
+//!   vertex-table partition survives (re-readable state), so a restart
+//!   resumes spawning where the cursor stopped.
 //! * **Exactly-once results per root.** Every task is accounted to its
-//!   spawning root ([`crate::task::TaskLabel::root`]). Lost work — a crashed
-//!   machine's queue, an abandoned pull, a steal grant whose ack never came —
-//!   marks the root *dirty*; once the event horizon drains, dirty roots are
-//!   respawned from scratch at their owner (bounded by
+//!   spawning root ([`crate::task::TaskLabel::root`]) through per-task hooks
+//!   that the threaded driver leaves unset. Lost work — a crashed machine's
+//!   queue, a task whose pull exhausted its retries, a steal grant whose ack
+//!   never came — marks the root *dirty*; once the event horizon drains,
+//!   dirty roots are respawned from scratch at their owner (bounded by
 //!   [`SimConfig::respawn_limit`]), with previously emitted results for that
 //!   root discarded first. A root that cannot be respawned (owner down for
 //!   good, limit hit) labels the run [`RunOutcome::Faulted`].
-//! * **Virtual deadline.** Wall-clock cancellation tokens are ignored; the
-//!   run is bounded by [`SimConfig::max_virtual_us`] instead, which also
-//!   guarantees termination under adversarial drop/latency schedules.
+//! * **Virtual time.** The engine's `pull_timeout`, `pull_retries` and
+//!   `balance_period` are read as virtual time. Wall-clock cancellation
+//!   tokens are ignored; the run is bounded by [`SimConfig::max_virtual_us`]
+//!   instead, which also guarantees termination under adversarial
+//!   drop/latency schedules.
 
+use crate::cluster::{self, GrantFate, RootHooks, SharedState, Step, ROOTLESS};
 use crate::codec::EngineMsg;
 use crate::config::EngineConfig;
 use crate::metrics::EngineMetrics;
-use crate::task::{ComputeContext, Frontier, GThinkerApp, TaskCodec};
+use crate::task::GThinkerApp;
 use crate::transport::{Envelope, MachineId, PullReply, Transport, TransportError, TransportStats};
-use crate::vertex_table::{AdjList, PartitionedVertexTable};
-use qcm_core::RunOutcome;
+use crate::vertex_table::PartitionedVertexTable;
+use qcm_core::{MiningScratch, RunOutcome};
 use qcm_graph::{Fnv1a64, Graph, NeighborhoodIndex, VertexId};
-use qcm_sync::{Arc, Mutex};
-use std::cmp::Reverse;
-use std::collections::{BTreeMap, BTreeSet, BinaryHeap, VecDeque};
+use qcm_sync::{Arc, Mutex, OnceLock};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::time::Duration;
-
-/// Root key used for tasks whose application reports no spawning root; such
-/// work cannot be respawned, so losing it is a permanent fault.
-const ROOTLESS: u32 = u32::MAX;
 
 /// A scripted fault applied to one machine at a virtual instant.
 #[derive(Clone, Copy, Debug, PartialEq, Eq)]
 pub enum Fault {
-    /// The machine dies: its queued and parked tasks, inbox and held steal
-    /// grants are lost. Its vertex-table partition survives (re-readable
+    /// The machine dies: its queued tasks (spilled ones included), unacked
+    /// steal grants and in-flight inbound messages are lost. Its vertex-table partition survives (re-readable
     /// state), so a later [`Fault::Restart`] resumes spawning where the
     /// cursor stopped.
     Crash,
     /// The machine comes back up (no-op if alive).
     Restart,
-    /// Every subsequent compute/spawn step on the machine costs `factor`
-    /// times as much virtual time (a straggler).
+    /// Every subsequent worker step on the machine costs `factor` times as
+    /// much virtual time, network time excluded (a straggler).
     SlowDown {
         /// Cost multiplier (clamped to at least 1).
         factor: u32,
@@ -97,20 +124,13 @@ pub struct SimConfig {
     pub latency_jitter_us: u64,
     /// Probability that a message is dropped in flight (0.0 disables loss).
     pub drop_probability: f64,
-    /// Per-attempt timeout of a split-phase pull, in virtual microseconds.
-    pub pull_timeout_us: u64,
-    /// Additional pull attempts after the first times out; exhaustion
-    /// abandons the task and dirties its root.
-    pub pull_retries: u32,
     /// Steal-grant retransmissions before the granting machine declares the
     /// batch lost and dirties the affected roots.
     pub grant_retries: u32,
-    /// Virtual cost of one compute step.
+    /// Virtual cost of processing one task (network time excluded).
     pub compute_cost_us: u64,
     /// Virtual cost of spawning one batch of root tasks.
     pub spawn_cost_us: u64,
-    /// Period of the master's balancing pass (inter-machine big-task steal).
-    pub balance_period_us: u64,
     /// How many times a dirty root may be respawned before its loss becomes
     /// a permanent fault.
     pub respawn_limit: u32,
@@ -128,12 +148,9 @@ impl Default for SimConfig {
             link_latency_us: 500,
             latency_jitter_us: 200,
             drop_probability: 0.0,
-            pull_timeout_us: 10_000,
-            pull_retries: 3,
             grant_retries: 3,
             compute_cost_us: 100,
             spawn_cost_us: 50,
-            balance_period_us: 5_000,
             respawn_limit: 3,
             max_virtual_us: 60_000_000,
             scenario: Vec::new(),
@@ -277,45 +294,16 @@ impl SplitMix64 {
 /// The discrete events driving the simulation.
 #[derive(Clone, Debug)]
 enum Event {
-    /// One scheduling step on a machine (process a task or spawn a batch).
+    /// One worker step on a machine.
     Wake { machine: usize, epoch: u64 },
     /// A message arrives at its destination.
     Deliver { to: usize, env: Envelope },
-    /// A parked task's pull attempt expires.
-    PullTimeout {
-        machine: usize,
-        task_id: u64,
-        attempt: u32,
-    },
     /// A steal grant's ack did not arrive in time.
     AckTimeout { machine: usize, seq: u64 },
     /// Apply `scenario[idx]`.
     Fault { idx: usize },
     /// The master's balancing pass.
     Balance,
-}
-
-struct Scheduled {
-    at: u64,
-    seq: u64,
-    ev: Event,
-}
-
-impl PartialEq for Scheduled {
-    fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
-    }
-}
-impl Eq for Scheduled {}
-impl PartialOrd for Scheduled {
-    fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-        Some(self.cmp(other))
-    }
-}
-impl Ord for Scheduled {
-    fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-        self.at.cmp(&other.at).then(self.seq.cmp(&other.seq))
-    }
 }
 
 /// The seeded event log: human-readable lines plus a running FNV-1a hash —
@@ -335,12 +323,15 @@ impl EventLog {
     }
 }
 
-/// Shared network state: virtual clock, event heap, mailboxes, link faults.
+/// Shared network state: virtual clock, pending events, mailboxes, link
+/// faults.
 struct NetInner {
     machines: usize,
     clock: u64,
     next_seq: u64,
-    heap: BinaryHeap<Reverse<Scheduled>>,
+    next_token: u64,
+    /// Pending events by (virtual instant, scheduling order).
+    events: BTreeMap<(u64, u64), Event>,
     inboxes: Vec<VecDeque<Envelope>>,
     alive: Vec<bool>,
     severed: BTreeSet<(usize, usize)>,
@@ -348,6 +339,10 @@ struct NetInner {
     link_latency_us: u64,
     latency_jitter_us: u64,
     drop_probability: f64,
+    /// How long a steal grant waits for its ack before it is resent.
+    ack_timeout_us: u64,
+    /// Network time spent by the current wake's pulls.
+    wake_cost_us: u64,
     log: EventLog,
     stats: TransportStats,
 }
@@ -356,56 +351,166 @@ fn link_key(a: usize, b: usize) -> (usize, usize) {
     (a.min(b), a.max(b))
 }
 
+fn micros(d: Duration) -> u64 {
+    u64::try_from(d.as_micros()).unwrap_or(u64::MAX)
+}
+
+/// A message's kind for the event log, with the sequence number of steal
+/// traffic so a grant can be followed through drops and resends.
+fn describe(msg: &EngineMsg) -> String {
+    match msg {
+        EngineMsg::StealRequest { seq, .. }
+        | EngineMsg::StealGrant { seq, .. }
+        | EngineMsg::StealAck { seq } => format!("{} seq={seq}", msg.kind()),
+        _ => msg.kind().to_string(),
+    }
+}
+
 impl NetInner {
+    fn new(machines: usize, sim: &SimConfig, ack_timeout_us: u64) -> Self {
+        NetInner {
+            machines,
+            clock: 0,
+            next_seq: 0,
+            next_token: 0,
+            events: BTreeMap::new(),
+            inboxes: (0..machines).map(|_| VecDeque::new()).collect(),
+            alive: vec![true; machines],
+            severed: BTreeSet::new(),
+            rng: SplitMix64::new(sim.seed),
+            link_latency_us: sim.link_latency_us,
+            latency_jitter_us: sim.latency_jitter_us,
+            drop_probability: sim.drop_probability,
+            ack_timeout_us,
+            wake_cost_us: 0,
+            log: EventLog::default(),
+            stats: TransportStats::default(),
+        }
+    }
+
     fn schedule(&mut self, delay_us: u64, ev: Event) {
         let at = self.clock + delay_us.max(1);
         let seq = self.next_seq;
         self.next_seq += 1;
-        self.heap.push(Reverse(Scheduled { at, seq, ev }));
+        self.events.insert((at, seq), ev);
+    }
+
+    fn log(&mut self, line: String) {
+        let clock = self.clock;
+        self.log.push(clock, line);
+    }
+
+    /// Why a message put on the link `from`→`to` now is lost, if it is.
+    fn loss(&mut self, from: usize, to: usize) -> Option<&'static str> {
+        if self.severed.contains(&link_key(from, to)) {
+            Some("partitioned")
+        } else if !self.alive[to] {
+            Some("down")
+        } else if self.rng.chance(self.drop_probability) {
+            Some("loss")
+        } else {
+            None
+        }
+    }
+
+    fn latency(&mut self) -> u64 {
+        self.link_latency_us + self.rng.up_to(self.latency_jitter_us)
+    }
+
+    /// Accounts one message of `bytes` on the link `from`→`to`; returns
+    /// false (and logs the drop) when it is lost.
+    fn carry(&mut self, from: usize, to: usize, what: &str, bytes: usize) -> bool {
+        self.stats.messages_sent += 1;
+        self.stats.wire_bytes += bytes as u64;
+        match self.loss(from, to) {
+            Some(why) => {
+                self.stats.messages_dropped += 1;
+                self.log(format!("drop m{from}->m{to} {what} ({why})"));
+                false
+            }
+            None => true,
+        }
     }
 
     fn send(&mut self, from: usize, to: usize, msg: EngineMsg) -> Result<(), TransportError> {
         if to >= self.machines {
             return Err(TransportError::Closed);
         }
-        let kind = msg.kind();
-        let bytes = msg.to_wire().len() as u64;
-        self.stats.messages_sent += 1;
-        self.stats.wire_bytes += bytes;
-        let clock = self.clock;
-        if self.severed.contains(&link_key(from, to)) {
-            self.stats.messages_dropped += 1;
-            self.log
-                .push(clock, format!("drop m{from}->m{to} {kind} (partitioned)"));
-            return Ok(());
+        let what = describe(&msg);
+        if let EngineMsg::StealGrant { seq, .. } = msg {
+            // Armed whether or not this copy arrives: a lost grant is found
+            // by its missing ack.
+            let timeout = self.ack_timeout_us;
+            self.schedule(timeout, Event::AckTimeout { machine: from, seq });
         }
-        if self.rng.chance(self.drop_probability) {
-            self.stats.messages_dropped += 1;
-            self.log
-                .push(clock, format!("drop m{from}->m{to} {kind} (loss)"));
-            return Ok(());
+        let bytes = msg.to_wire().len();
+        if self.carry(from, to, &what, bytes) {
+            let latency = self.latency();
+            self.log(format!("send m{from}->m{to} {what} {bytes}B +{latency}us"));
+            self.schedule(
+                latency,
+                Event::Deliver {
+                    to,
+                    env: Envelope { from, msg },
+                },
+            );
         }
-        let latency = self.link_latency_us + self.rng.up_to(self.latency_jitter_us);
-        self.log.push(
-            clock,
-            format!("send m{from}->m{to} {kind} {bytes}B +{latency}us"),
-        );
-        self.schedule(
-            latency,
-            Event::Deliver {
-                to,
-                env: Envelope { from, msg },
-            },
-        );
         Ok(())
+    }
+
+    /// One blocking pull attempt, answered at the current virtual instant.
+    /// The round trip's latency, or `timeout` when the request or the
+    /// response is lost, is charged to the current wake.
+    fn pull(
+        &mut self,
+        table: &PartitionedVertexTable,
+        from: usize,
+        owner: usize,
+        vertices: &[VertexId],
+        timeout: Duration,
+    ) -> Result<PullReply, TransportError> {
+        if owner >= self.machines {
+            return Err(TransportError::Closed);
+        }
+        let token = self.next_token;
+        self.next_token += 1;
+        let request = EngineMsg::PullRequest {
+            token,
+            vertices: vertices.to_vec(),
+        };
+        let lists: PullReply = vertices
+            .iter()
+            .map(|&v| (v, Arc::new(table.adjacency(v).to_vec())))
+            .collect();
+        let response = EngineMsg::PullResponse {
+            token,
+            lists: lists.clone(),
+        };
+        let (req_bytes, resp_bytes) = (request.to_wire().len(), response.to_wire().len());
+        if !self.carry(from, owner, request.kind(), req_bytes)
+            || !self.carry(owner, from, response.kind(), resp_bytes)
+        {
+            self.wake_cost_us += micros(timeout);
+            return Err(TransportError::Timeout);
+        }
+        let rtt = self.latency() + self.latency();
+        self.wake_cost_us += rtt;
+        self.stats.pull_round_trips += 1;
+        self.log(format!(
+            "pull m{from}<-m{owner} {}v {}B +{rtt}us",
+            vertices.len(),
+            req_bytes + resp_bytes
+        ));
+        Ok(lists)
     }
 }
 
-/// The simulator's [`Transport`]: messages go through the seeded
-/// discrete-event network. Blocking pulls are unsupported (the simulation is
-/// single-threaded); the driver uses split-phase pulls instead.
+/// The simulator's [`Transport`]: messages and pulls go through the seeded
+/// discrete-event network. Sends are delivered as future events; pulls are
+/// answered at the current virtual instant (see the module docs).
 pub struct SimTransport {
     net: Arc<Mutex<NetInner>>,
+    table: OnceLock<PartitionedVertexTable>,
 }
 
 impl SimTransport {
@@ -419,6 +524,10 @@ impl Transport for SimTransport {
         self.net().machines
     }
 
+    fn bind(&self, table: &PartitionedVertexTable) {
+        let _ = self.table.set(table.clone());
+    }
+
     fn send(&self, from: MachineId, to: MachineId, msg: EngineMsg) -> Result<(), TransportError> {
         self.net().send(from, to, msg)
     }
@@ -429,12 +538,13 @@ impl Transport for SimTransport {
 
     fn pull(
         &self,
-        _from: MachineId,
-        _owner: MachineId,
-        _vertices: &[VertexId],
-        _timeout: Duration,
+        from: MachineId,
+        owner: MachineId,
+        vertices: &[VertexId],
+        timeout: Duration,
     ) -> Result<PullReply, TransportError> {
-        Err(TransportError::Unsupported)
+        let table = self.table.get().ok_or(TransportError::Closed)?;
+        self.net().pull(table, from, owner, vertices, timeout)
     }
 
     fn stats(&self) -> TransportStats {
@@ -442,57 +552,35 @@ impl Transport for SimTransport {
     }
 }
 
-/// A task parked on outstanding pulls.
-struct Parked {
-    frontier: Frontier,
-    /// Owner machine → vertices still awaited from it.
-    outstanding: BTreeMap<usize, Vec<VertexId>>,
-    attempt: u32,
+/// Per-root bookkeeping behind the engine's root hooks.
+#[derive(Default)]
+struct RootBook {
+    /// Live task count per root; a root is drained when its count is ≤ 0.
+    live: BTreeMap<u32, i64>,
+    /// Roots that lost work and must be respawned.
+    dirty: BTreeSet<u32>,
+    /// Result rows keyed by root — discarded wholesale on respawn, so every
+    /// root contributes exactly once.
+    results: BTreeMap<u32, Vec<Vec<VertexId>>>,
 }
 
-struct TaskState<T> {
-    task: T,
-    root: u32,
-    parked: Option<Parked>,
-}
-
-/// A steal grant awaiting its ack; the blobs are kept for retransmission.
-struct PendingGrant {
-    to: usize,
-    blobs: Vec<Vec<u8>>,
-    roots: Vec<u32>,
-    retries: u32,
-}
-
-struct SimMachine<T> {
-    queue: VecDeque<u64>,
-    tasks: BTreeMap<u64, TaskState<T>>,
-    cursor: VecDeque<VertexId>,
-    wake_scheduled: bool,
-    /// Incremented on crash so stale Wake events are ignored.
-    epoch: u64,
-    /// Compute-cost multiplier (stragglers run slower).
-    speed: u64,
-    pending_grants: BTreeMap<u64, PendingGrant>,
-    seen_grants: BTreeSet<u64>,
-}
-
-impl<T> SimMachine<T> {
-    fn new(cursor: VecDeque<VertexId>) -> Self {
-        SimMachine {
-            queue: VecDeque::new(),
-            tasks: BTreeMap::new(),
-            cursor,
-            wake_scheduled: false,
-            epoch: 0,
-            speed: 1,
-            pending_grants: BTreeMap::new(),
-            seen_grants: BTreeSet::new(),
-        }
+impl RootHooks for Mutex<RootBook> {
+    fn created(&self, root: u32) {
+        *self.lock().live.entry(root).or_insert(0) += 1;
     }
 
-    fn has_work(&self) -> bool {
-        !self.queue.is_empty() || !self.cursor.is_empty()
+    fn finished(&self, root: u32) {
+        *self.lock().live.entry(root).or_insert(0) -= 1;
+    }
+
+    fn lost(&self, root: u32) {
+        let mut book = self.lock();
+        *book.live.entry(root).or_insert(0) -= 1;
+        book.dirty.insert(root);
+    }
+
+    fn emitted(&self, root: u32, rows: Vec<Vec<VertexId>>) {
+        self.lock().results.entry(root).or_default().extend(rows);
     }
 }
 
@@ -531,8 +619,8 @@ pub struct SimCluster<A: GThinkerApp> {
 
 impl<A: GThinkerApp> SimCluster<A> {
     /// Creates the simulated cluster. The cluster shape (machines) comes from
-    /// `engine`; thread counts are not modelled — each machine performs one
-    /// scheduling step per wake.
+    /// `engine`; thread counts are not modelled — each machine runs one
+    /// mining thread, which takes one worker step per wake.
     pub fn new(app: Arc<A>, engine: EngineConfig, sim: SimConfig) -> Self {
         engine.validate();
         SimCluster { app, engine, sim }
@@ -541,99 +629,69 @@ impl<A: GThinkerApp> SimCluster<A> {
     /// Runs the application over `graph` in virtual time under the scenario.
     pub fn run(&self, graph: Arc<Graph>) -> SimOutput {
         let wall_start = qcm_obs::clock::now();
-        let (index, shared_index_reused) = match &self.engine.shared_index {
-            Some(shared) if Arc::ptr_eq(shared.graph(), &graph) => (shared.clone(), true),
-            _ => (
-                Arc::new(NeighborhoodIndex::build(graph, self.engine.index)),
-                false,
-            ),
+        let engine = EngineConfig {
+            threads_per_machine: 1,
+            ..self.engine.clone()
         };
-        let table = PartitionedVertexTable::with_index(index.clone(), self.engine.num_machines);
-        let machines = self.engine.num_machines;
-
-        let net = Arc::new(Mutex::new(NetInner {
+        let machines = engine.num_machines;
+        let net = Arc::new(Mutex::new(NetInner::new(
             machines,
-            clock: 0,
-            next_seq: 0,
-            heap: BinaryHeap::new(),
-            inboxes: (0..machines).map(|_| VecDeque::new()).collect(),
-            alive: vec![true; machines],
-            severed: BTreeSet::new(),
-            rng: SplitMix64::new(self.sim.seed),
-            link_latency_us: self.sim.link_latency_us,
-            latency_jitter_us: self.sim.latency_jitter_us,
-            drop_probability: self.sim.drop_probability,
-            log: EventLog::default(),
-            stats: TransportStats::default(),
-        }));
-        let transport = SimTransport { net: net.clone() };
+            &self.sim,
+            micros(engine.pull_timeout),
+        )));
+        let transport = Arc::new(SimTransport {
+            net: net.clone(),
+            table: OnceLock::new(),
+        });
+        let book = Mutex::new(RootBook::default());
+        let shared = SharedState::new(self.app.as_ref(), &engine, graph, transport, Some(&book));
 
         let mut driver = Driver {
-            app: self.app.as_ref(),
-            engine: &self.engine,
+            shared: &shared,
+            book: &book,
+            engine: &engine,
             sim: &self.sim,
-            table: &table,
-            net,
-            transport,
-            machines: (0..machines)
-                .map(|m| SimMachine::new(table.owned_vertices(m).into()))
-                .collect(),
-            live: BTreeMap::new(),
-            dirty: BTreeSet::new(),
-            lost: BTreeSet::new(),
-            respawns: BTreeMap::new(),
-            results: BTreeMap::new(),
-            outstanding_pulls: BTreeMap::new(),
-            next_task: 0,
-            next_token: 0,
-            next_steal_seq: 0,
+            net: net.clone(),
+            scratch: (0..machines).map(|_| MiningScratch::default()).collect(),
+            clocks: vec![WakeClock::default(); machines],
             balance_scheduled: false,
-            tasks_spawned: 0,
-            tasks_processed: 0,
-            tasks_decomposed: 0,
-            stolen_tasks: 0,
-            pull_retry_count: 0,
-            pull_failure_count: 0,
-            local_reads: 0,
-            remote_fetches: 0,
+            respawns: BTreeMap::new(),
+            lost: BTreeSet::new(),
             faulted: false,
-            interrupted: false,
         };
         driver.run();
         let unfinished_roots = driver.unfinished_roots();
+        let faulted = driver.faulted;
 
-        let (virtual_us, stats, lines, hash) = {
-            let mut net = driver.net.lock();
-            let log = std::mem::take(&mut net.log);
-            (net.clock, net.stats, log.lines, log.hash.finish())
-        };
-        let outcome = if driver.faulted {
+        let outcome = if faulted {
             RunOutcome::Faulted
-        } else if driver.interrupted {
+        } else if shared.interrupted() {
             RunOutcome::Cancelled
         } else {
             RunOutcome::Complete
         };
-        let results: Vec<Vec<VertexId>> = driver.results.into_values().flatten().collect();
-        let metrics = EngineMetrics {
-            elapsed: wall_start.elapsed(),
-            shared_index_reused,
-            tasks_spawned: driver.tasks_spawned,
-            tasks_processed: driver.tasks_processed,
-            tasks_decomposed: driver.tasks_decomposed,
-            results_emitted: results.len() as u64,
-            local_reads: driver.local_reads,
-            remote_fetches: driver.remote_fetches,
-            remote_bytes: stats.wire_bytes,
-            pull_retries: driver.pull_retry_count,
-            pull_failures: driver.pull_failure_count,
-            transport_messages: stats.messages_sent,
-            transport_dropped: stats.messages_dropped,
-            virtual_time: Some(Duration::from_micros(virtual_us)),
-            stolen_tasks: driver.stolen_tasks,
-            outcome,
-            ..EngineMetrics::default()
+        let output = shared.into_output();
+        let results: Vec<Vec<VertexId>> =
+            book.into_inner().results.into_values().flatten().collect();
+        let mut metrics = output.metrics;
+        let (virtual_us, lines, hash) = {
+            let mut net = net.lock();
+            let label = match outcome {
+                RunOutcome::Faulted => "faulted",
+                RunOutcome::Complete => "complete",
+                _ => "interrupted",
+            };
+            net.log(format!(
+                "end outcome={label} spawned={} processed={} stolen={}",
+                metrics.tasks_spawned, metrics.tasks_processed, metrics.stolen_tasks
+            ));
+            let log = std::mem::take(&mut net.log);
+            (net.clock, log.lines, log.hash.finish())
         };
+        metrics.elapsed = wall_start.elapsed();
+        metrics.results_emitted = results.len() as u64;
+        metrics.virtual_time = Some(Duration::from_micros(virtual_us));
+        metrics.outcome = outcome;
         SimOutput {
             results,
             metrics,
@@ -641,57 +699,47 @@ impl<A: GThinkerApp> SimCluster<A> {
             event_log: lines,
             log_hash: hash,
             virtual_us,
-            index: Some(index),
+            index: output.index,
             unfinished_roots,
         }
     }
 }
 
-struct Driver<'a, A: GThinkerApp> {
-    app: &'a A,
-    engine: &'a EngineConfig,
-    sim: &'a SimConfig,
-    table: &'a PartitionedVertexTable,
-    net: Arc<Mutex<NetInner>>,
-    transport: SimTransport,
-    machines: Vec<SimMachine<A::Task>>,
-    /// Per-root live task balance; a root is drained when its count ≤ 0.
-    live: BTreeMap<u32, i64>,
-    /// Roots that lost work and must be respawned.
-    dirty: BTreeSet<u32>,
-    /// Roots whose lost work can never be respawned.
-    lost: BTreeSet<u32>,
-    respawns: BTreeMap<u32, u32>,
-    /// Result rows keyed by root — discarded wholesale on respawn, so every
-    /// root contributes exactly once.
-    results: BTreeMap<u32, Vec<Vec<VertexId>>>,
-    /// Pull token → (requesting machine, task id).
-    outstanding_pulls: BTreeMap<u64, (usize, u64)>,
-    next_task: u64,
-    next_token: u64,
-    next_steal_seq: u64,
-    balance_scheduled: bool,
-    tasks_spawned: u64,
-    tasks_processed: u64,
-    tasks_decomposed: u64,
-    stolen_tasks: u64,
-    pull_retry_count: u64,
-    pull_failure_count: u64,
-    local_reads: u64,
-    remote_fetches: u64,
-    faulted: bool,
-    interrupted: bool,
+/// When a machine may next take a worker step.
+#[derive(Clone, Copy, Debug, Default)]
+struct WakeClock {
+    scheduled: bool,
+    /// Incremented on crash so stale Wake events are ignored.
+    epoch: u64,
+    /// A straggler's cost multiplier; 0 and 1 both mean full speed.
+    slowdown: u64,
+    /// Virtual instant the machine's last step ends.
+    busy_until: u64,
 }
 
-impl<'a, A: GThinkerApp> Driver<'a, A> {
+struct Driver<'s, 'a, A: GThinkerApp> {
+    shared: &'s SharedState<'a, A>,
+    book: &'s Mutex<RootBook>,
+    engine: &'s EngineConfig,
+    sim: &'s SimConfig,
+    net: Arc<Mutex<NetInner>>,
+    /// Each machine's mining scratch arena.
+    scratch: Vec<MiningScratch>,
+    clocks: Vec<WakeClock>,
+    balance_scheduled: bool,
+    respawns: BTreeMap<u32, u32>,
+    /// Roots whose lost work can never be respawned.
+    lost: BTreeSet<u32>,
+    faulted: bool,
+}
+
+impl<A: GThinkerApp> Driver<'_, '_, A> {
     fn net(&self) -> qcm_sync::MutexGuard<'_, NetInner> {
         self.net.lock()
     }
 
     fn log(&self, line: String) {
-        let mut net = self.net();
-        let clock = net.clock;
-        net.log.push(clock, line);
+        self.net().log(line);
     }
 
     fn schedule(&self, delay_us: u64, ev: Event) {
@@ -700,23 +748,27 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
 
     fn ensure_wake(&mut self, m: usize) {
         let alive = self.net().alive[m];
-        let mach = &mut self.machines[m];
-        if alive && !mach.wake_scheduled && mach.has_work() {
-            mach.wake_scheduled = true;
-            let epoch = mach.epoch;
-            self.schedule(1, Event::Wake { machine: m, epoch });
+        if self.clocks[m].scheduled || !alive || !self.shared.has_work(m) {
+            return;
         }
+        self.clocks[m].scheduled = true;
+        let WakeClock {
+            epoch, busy_until, ..
+        } = self.clocks[m];
+        let mut net = self.net();
+        let delay = busy_until.saturating_sub(net.clock);
+        net.schedule(delay, Event::Wake { machine: m, epoch });
     }
 
     fn ensure_balance(&mut self) {
-        if self.machines.len() > 1 && !self.balance_scheduled {
+        if self.clocks.len() > 1 && !self.balance_scheduled {
             self.balance_scheduled = true;
-            self.schedule(self.sim.balance_period_us, Event::Balance);
+            self.schedule(micros(self.engine.balance_period), Event::Balance);
         }
     }
 
     fn run(&mut self) {
-        for m in 0..self.machines.len() {
+        for m in 0..self.clocks.len() {
             self.ensure_wake(m);
         }
         for idx in 0..self.sim.scenario.len() {
@@ -726,9 +778,9 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
         self.ensure_balance();
 
         loop {
-            let next = self.net().heap.pop();
+            let next = self.net().events.pop_first();
             match next {
-                Some(Reverse(Scheduled { at, ev, .. })) => {
+                Some(((at, _), ev)) => {
                     if at > self.sim.max_virtual_us {
                         self.faulted = true;
                         self.log(format!(
@@ -754,387 +806,60 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
         match ev {
             Event::Wake { machine, epoch } => self.on_wake(machine, epoch),
             Event::Deliver { to, env } => self.on_deliver(to, env),
-            Event::PullTimeout {
-                machine,
-                task_id,
-                attempt,
-            } => self.on_pull_timeout(machine, task_id, attempt),
             Event::AckTimeout { machine, seq } => self.on_ack_timeout(machine, seq),
             Event::Fault { idx } => self.on_fault(idx),
             Event::Balance => self.on_balance(),
         }
     }
 
+    /// One worker step of machine `m`, charged in virtual time.
     fn on_wake(&mut self, m: usize, epoch: u64) {
-        if self.machines[m].epoch != epoch {
+        if self.clocks[m].epoch != epoch {
             return; // stale wake from before a crash
         }
-        self.machines[m].wake_scheduled = false;
+        self.clocks[m].scheduled = false;
         if !self.net().alive[m] {
             return;
         }
-        let cost = if let Some(tid) = self.machines[m].queue.pop_front() {
-            self.step_task(m, tid)
-        } else if !self.machines[m].cursor.is_empty() {
-            self.spawn_batch(m)
-        } else {
-            return; // idle: a delivery or restart re-wakes the machine
+        let base = match cluster::step(self.shared, m, m, &mut self.scratch[m]) {
+            Step::Processed => self.sim.compute_cost_us,
+            Step::Spawned => self.sim.spawn_cost_us,
+            Step::Idle => 0,
         };
-        let mach = &mut self.machines[m];
-        if mach.has_work() {
-            mach.wake_scheduled = true;
-            let epoch = mach.epoch;
-            self.schedule(cost.max(1), Event::Wake { machine: m, epoch });
-        } else {
-            // Re-wake once the in-flight step cost elapses anyway: parked
-            // tasks or late deliveries may need the machine again, and the
-            // deliver path also wakes it.
-        }
-    }
-
-    /// Registers freshly created tasks on machine `m`.
-    fn register_tasks(&mut self, m: usize, new_tasks: Vec<A::Task>, decomposed: bool) {
-        for task in new_tasks {
-            let root = self
-                .app
-                .task_label(&task)
-                .root
-                .map(|v| v.raw())
-                .unwrap_or(ROOTLESS);
-            *self.live.entry(root).or_insert(0) += 1;
-            if decomposed {
-                self.tasks_decomposed += 1;
-            } else {
-                self.tasks_spawned += 1;
-            }
-            let tid = self.next_task;
-            self.next_task += 1;
-            self.machines[m].tasks.insert(
-                tid,
-                TaskState {
-                    task,
-                    root,
-                    parked: None,
-                },
-            );
-            self.machines[m].queue.push_back(tid);
-        }
-    }
-
-    fn record_results(&mut self, root: u32, rows: Vec<Vec<VertexId>>) {
-        if !rows.is_empty() {
-            self.results.entry(root).or_default().extend(rows);
-        }
-    }
-
-    fn spawn_batch(&mut self, m: usize) -> u64 {
-        for _ in 0..self.engine.batch_size {
-            let Some(v) = self.machines[m].cursor.pop_front() else {
-                break;
-            };
-            let adj = self.table.adjacency(v).to_vec();
-            let mut ctx = ComputeContext::new();
-            self.app.spawn(v, &adj, &mut ctx);
-            self.interrupted |= ctx.interrupted;
-            self.record_results(v.raw(), ctx.results);
-            self.register_tasks(m, ctx.new_tasks, false);
-        }
-        self.sim.spawn_cost_us * self.machines[m].speed
-    }
-
-    /// One scheduling step for task `tid` on machine `m`; returns its virtual
-    /// cost.
-    fn step_task(&mut self, m: usize, tid: u64) -> u64 {
-        let Some(state) = self.machines[m].tasks.get_mut(&tid) else {
-            return 1; // stolen or lost since it was queued
+        let ends_at = {
+            let mut net = self.net();
+            let network = std::mem::take(&mut net.wake_cost_us);
+            net.clock + base * self.clocks[m].slowdown.max(1) + network
         };
-        // A parked task re-queued by the last pull response computes with its
-        // assembled frontier; otherwise resolve this iteration's pulls.
-        let frontier = if let Some(parked) = state.parked.take() {
-            debug_assert!(parked.outstanding.is_empty());
-            parked.frontier
-        } else {
-            let mut frontier = Frontier::new();
-            let mut remote: BTreeMap<usize, Vec<VertexId>> = BTreeMap::new();
-            for &v in self.app.pending_pulls(&state.task) {
-                let owner = self.table.owner(v);
-                if owner == m {
-                    self.local_reads += 1;
-                    frontier.insert(v, AdjList::Shared(self.table.graph().clone(), v));
-                } else {
-                    self.remote_fetches += 1;
-                    remote.entry(owner).or_default().push(v);
-                }
-            }
-            if !remote.is_empty() {
-                // Park: send one pull request per owner, arm the timeout.
-                let state = self.machines[m].tasks.get_mut(&tid).expect("task exists");
-                state.parked = Some(Parked {
-                    frontier,
-                    outstanding: remote.clone(),
-                    attempt: 0,
-                });
-                for (owner, vertices) in remote {
-                    let token = self.next_token;
-                    self.next_token += 1;
-                    self.outstanding_pulls.insert(token, (m, tid));
-                    let _ =
-                        self.transport
-                            .send(m, owner, EngineMsg::PullRequest { token, vertices });
-                }
-                self.schedule(
-                    self.sim.pull_timeout_us,
-                    Event::PullTimeout {
-                        machine: m,
-                        task_id: tid,
-                        attempt: 0,
-                    },
-                );
-                return self.sim.spawn_cost_us * self.machines[m].speed;
-            }
-            frontier
-        };
-
-        let state = self.machines[m].tasks.get_mut(&tid).expect("task exists");
-        let root = state.root;
-        let mut ctx = ComputeContext::new();
-        let more = self.app.compute(&mut state.task, &frontier, &mut ctx);
-        self.interrupted |= ctx.interrupted;
-        self.record_results(root, ctx.results);
-        self.register_tasks(m, ctx.new_tasks, true);
-        if more {
-            self.machines[m].queue.push_back(tid);
-        } else {
-            self.machines[m].tasks.remove(&tid);
-            self.tasks_processed += 1;
-            *self.live.entry(root).or_insert(0) -= 1;
-        }
-        self.sim.compute_cost_us * self.machines[m].speed
+        self.clocks[m].busy_until = ends_at;
+        self.ensure_wake(m);
     }
 
     fn on_deliver(&mut self, to: usize, env: Envelope) {
-        if !self.net().alive[to] {
+        {
             let mut net = self.net();
-            net.stats.messages_dropped += 1;
-            let clock = net.clock;
-            let kind = env.msg.kind();
-            let from = env.from;
-            net.log
-                .push(clock, format!("lost m{from}->m{to} {kind} (down)"));
-            return;
+            if !net.alive[to] {
+                net.stats.messages_dropped += 1;
+                let line = format!("lost m{}->m{to} {} (down)", env.from, describe(&env.msg));
+                net.log(line);
+                return;
+            }
+            net.inboxes[to].push_back(env);
         }
-        // Route through the transport mailbox so the trait surface is the
-        // real delivery path, then handle immediately (control messages are
-        // processed by the machine's communication layer, not its workers).
-        self.net().inboxes[to].push_back(env);
-        while let Some(env) = self.transport.try_recv(to) {
-            self.handle_message(to, env);
-        }
-    }
-
-    fn handle_message(&mut self, m: usize, env: Envelope) {
-        let from = env.from;
-        match env.msg {
-            EngineMsg::PullRequest { token, vertices } => {
-                let lists: PullReply = vertices
-                    .iter()
-                    .map(|&v| (v, Arc::new(self.table.adjacency(v).to_vec())))
-                    .collect();
-                let _ = self
-                    .transport
-                    .send(m, from, EngineMsg::PullResponse { token, lists });
-            }
-            EngineMsg::PullResponse { token, lists } => {
-                let Some((machine, tid)) = self.outstanding_pulls.remove(&token) else {
-                    self.log(format!("stale pull-resp token={token} at m{m}"));
-                    return;
-                };
-                debug_assert_eq!(machine, m);
-                let Some(state) = self.machines[m].tasks.get_mut(&tid) else {
-                    return; // task abandoned or lost meanwhile
-                };
-                let Some(parked) = state.parked.as_mut() else {
-                    return;
-                };
-                for (v, adj) in lists {
-                    parked.frontier.insert(v, AdjList::Owned(adj));
-                }
-                parked.outstanding.remove(&from);
-                if parked.outstanding.is_empty() {
-                    self.machines[m].queue.push_back(tid);
-                    self.ensure_wake(m);
-                }
-            }
-            EngineMsg::StealRequest { seq, count } => {
-                let mut blobs = Vec::new();
-                let mut roots = Vec::new();
-                for _ in 0..count {
-                    // Steal from the cold (back) end of the queue.
-                    let Some(tid) = self.machines[m].queue.pop_back() else {
-                        break;
-                    };
-                    let Some(state) = self.machines[m].tasks.remove(&tid) else {
-                        continue;
-                    };
-                    let mut buf = Vec::new();
-                    state.task.encode(&mut buf);
-                    blobs.push(buf);
-                    roots.push(state.root);
-                }
-                if blobs.is_empty() {
-                    return;
-                }
-                self.machines[m].pending_grants.insert(
-                    seq,
-                    PendingGrant {
-                        to: from,
-                        blobs: blobs.clone(),
-                        roots,
-                        retries: 0,
-                    },
-                );
-                let _ = self
-                    .transport
-                    .send(m, from, EngineMsg::StealGrant { seq, tasks: blobs });
-                self.schedule(
-                    self.sim.pull_timeout_us,
-                    Event::AckTimeout { machine: m, seq },
-                );
-            }
-            EngineMsg::StealGrant { seq, tasks } => {
-                if self.machines[m].seen_grants.contains(&seq) {
-                    // Duplicate (our ack was lost): just re-ack.
-                    let _ = self.transport.send(m, from, EngineMsg::StealAck { seq });
-                    return;
-                }
-                self.machines[m].seen_grants.insert(seq);
-                let mut decoded = Vec::with_capacity(tasks.len());
-                for blob in &tasks {
-                    let mut slice = blob.as_slice();
-                    match <A::Task as TaskCodec>::decode(&mut slice) {
-                        Some(t) => decoded.push(t),
-                        None => {
-                            // Undecodable stolen task: its root is unknowable
-                            // here, so the loss is unrecoverable.
-                            self.faulted = true;
-                            self.log(format!("undecodable stolen task in seq={seq}"));
-                        }
-                    }
-                }
-                let n = decoded.len() as u64;
-                for task in decoded {
-                    // The task was already counted live by its origin machine;
-                    // re-register without touching the live balance.
-                    let tid = self.next_task;
-                    self.next_task += 1;
-                    let root = self
-                        .app
-                        .task_label(&task)
-                        .root
-                        .map(|v| v.raw())
-                        .unwrap_or(ROOTLESS);
-                    self.machines[m].tasks.insert(
-                        tid,
-                        TaskState {
-                            task,
-                            root,
-                            parked: None,
-                        },
-                    );
-                    self.machines[m].queue.push_back(tid);
-                }
-                self.stolen_tasks += n;
-                let _ = self.transport.send(m, from, EngineMsg::StealAck { seq });
-                self.ensure_wake(m);
-            }
-            EngineMsg::StealAck { seq } => {
-                self.machines[m].pending_grants.remove(&seq);
-            }
-            EngineMsg::SpillNotice { .. } | EngineMsg::RefillNotice { .. } => {
-                // The sim's queues are unbounded; notices are log-only.
-            }
-            EngineMsg::Shutdown => {}
-        }
-    }
-
-    fn on_pull_timeout(&mut self, m: usize, tid: u64, attempt: u32) {
-        let Some(state) = self.machines[m].tasks.get_mut(&tid) else {
-            return;
-        };
-        let Some(parked) = state.parked.as_mut() else {
-            return;
-        };
-        if parked.attempt != attempt || parked.outstanding.is_empty() {
-            return; // resolved or already retried
-        }
-        if attempt < self.sim.pull_retries {
-            parked.attempt = attempt + 1;
-            let resend: Vec<(usize, Vec<VertexId>)> = parked
-                .outstanding
-                .iter()
-                .map(|(&o, vs)| (o, vs.clone()))
-                .collect();
-            self.pull_retry_count += resend.len() as u64;
-            for (owner, vertices) in resend {
-                let token = self.next_token;
-                self.next_token += 1;
-                self.outstanding_pulls.insert(token, (m, tid));
-                let _ = self
-                    .transport
-                    .send(m, owner, EngineMsg::PullRequest { token, vertices });
-            }
-            self.schedule(
-                self.sim.pull_timeout_us,
-                Event::PullTimeout {
-                    machine: m,
-                    task_id: tid,
-                    attempt: attempt + 1,
-                },
-            );
-        } else {
-            // Retry budget exhausted: abandon the task, dirty its root.
-            let root = state.root;
-            self.machines[m].tasks.remove(&tid);
-            self.pull_failure_count += 1;
-            *self.live.entry(root).or_insert(0) -= 1;
-            self.dirty.insert(root);
-            self.log(format!(
-                "abandon task={tid} root={root} (pull timeout) at m{m}"
-            ));
-        }
+        cluster::pump_inbox(self.shared, to);
+        self.ensure_wake(to);
     }
 
     fn on_ack_timeout(&mut self, m: usize, seq: u64) {
         if !self.net().alive[m] {
-            return; // crash already accounted for the held grants
+            return; // the crash already gave the held grants up
         }
-        let Some(grant) = self.machines[m].pending_grants.get_mut(&seq) else {
-            return; // acked
-        };
-        if grant.retries < self.sim.grant_retries {
-            grant.retries += 1;
-            let to = grant.to;
-            let blobs = grant.blobs.clone();
-            let _ = self
-                .transport
-                .send(m, to, EngineMsg::StealGrant { seq, tasks: blobs });
-            self.schedule(
-                self.sim.pull_timeout_us,
-                Event::AckTimeout { machine: m, seq },
-            );
-        } else {
-            let grant = self.machines[m]
-                .pending_grants
-                .remove(&seq)
-                .expect("grant present");
+        if let GrantFate::Lost { to } =
+            cluster::resend_grant(self.shared, m, seq, self.sim.grant_retries)
+        {
             self.log(format!(
-                "steal-grant seq={seq} m{m}->m{} lost after retries",
-                grant.to
+                "steal-grant seq={seq} m{m}->m{to} lost after retries"
             ));
-            for root in grant.roots {
-                *self.live.entry(root).or_insert(0) -= 1;
-                self.dirty.insert(root);
-            }
         }
     }
 
@@ -1144,52 +869,44 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
         } = self.sim.scenario[idx];
         match fault {
             Fault::Crash => {
-                if !self.net().alive[m] {
-                    return;
-                }
-                self.net().alive[m] = false;
-                self.net().inboxes[m].clear();
-                self.log(format!("fault crash m{m}"));
-                let mach = &mut self.machines[m];
-                mach.queue.clear();
-                mach.wake_scheduled = false;
-                mach.epoch += 1;
-                let lost: Vec<u32> = mach.tasks.values().map(|t| t.root).collect();
-                mach.tasks.clear();
-                let grants: Vec<PendingGrant> = std::mem::take(&mut mach.pending_grants)
-                    .into_values()
-                    .collect();
-                for root in lost {
-                    *self.live.entry(root).or_insert(0) -= 1;
-                    self.dirty.insert(root);
-                }
-                for grant in grants {
-                    for root in grant.roots {
-                        *self.live.entry(root).or_insert(0) -= 1;
-                        self.dirty.insert(root);
+                {
+                    let mut net = self.net();
+                    if !net.alive[m] {
+                        return;
                     }
+                    net.alive[m] = false;
+                    net.log(format!("fault crash m{m}"));
                 }
+                let clock = &mut self.clocks[m];
+                clock.scheduled = false;
+                clock.epoch += 1;
+                cluster::drain_machine(self.shared, m);
             }
             Fault::Restart => {
-                if self.net().alive[m] {
-                    return;
+                {
+                    let mut net = self.net();
+                    if net.alive[m] {
+                        return;
+                    }
+                    net.alive[m] = true;
+                    net.log(format!("fault restart m{m}"));
                 }
-                self.net().alive[m] = true;
-                self.log(format!("fault restart m{m}"));
                 self.ensure_wake(m);
                 self.ensure_balance();
             }
             Fault::SlowDown { factor } => {
-                self.machines[m].speed = factor.max(1) as u64;
+                self.clocks[m].slowdown = u64::from(factor);
                 self.log(format!("fault slowdown m{m} x{factor}"));
             }
             Fault::Partition { peer } => {
-                self.net().severed.insert(link_key(m, peer));
-                self.log(format!("fault partition m{m}--m{peer}"));
+                let mut net = self.net();
+                net.severed.insert(link_key(m, peer));
+                net.log(format!("fault partition m{m}--m{peer}"));
             }
             Fault::Heal => {
-                self.net().severed.retain(|&(a, b)| a != m && b != m);
-                self.log(format!("fault heal m{m}"));
+                let mut net = self.net();
+                net.severed.retain(|&(a, b)| a != m && b != m);
+                net.log(format!("fault heal m{m}"));
             }
         }
     }
@@ -1197,61 +914,20 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
     fn on_balance(&mut self) {
         self.balance_scheduled = false;
         let alive = self.net().alive.clone();
-        let counts: Vec<usize> = self
-            .machines
-            .iter()
-            .enumerate()
-            .map(|(i, mch)| if alive[i] { mch.queue.len() } else { 0 })
-            .collect();
-        let total: usize = counts.iter().sum();
-        if total > 0 {
-            let candidates: Vec<(usize, usize)> = counts
-                .iter()
-                .copied()
-                .enumerate()
-                .filter(|&(i, _)| alive[i])
-                .collect();
-            if candidates.len() > 1 {
-                let &(rich, rich_count) = candidates
-                    .iter()
-                    .max_by_key(|&&(_, c)| c)
-                    .expect("nonempty");
-                let &(poor, poor_count) = candidates
-                    .iter()
-                    .min_by_key(|&&(_, c)| c)
-                    .expect("nonempty");
-                if rich != poor && rich_count > poor_count + 1 {
-                    let count = self
-                        .engine
-                        .batch_size
-                        .min((rich_count - poor_count) / 2)
-                        .max(1) as u32;
-                    let seq = self.next_steal_seq;
-                    self.next_steal_seq += 1;
-                    let _ = self
-                        .transport
-                        .send(poor, rich, EngineMsg::StealRequest { seq, count });
-                }
-            }
-        }
-        let pending = (0..self.machines.len()).any(|i| {
-            alive[i]
-                && (self.machines[i].has_work()
-                    || !self.machines[i].tasks.is_empty()
-                    || !self.machines[i].pending_grants.is_empty())
-        });
+        cluster::balance(self.shared, |m| alive[m]);
+        let pending = (0..self.clocks.len())
+            .any(|m| alive[m] && (self.shared.has_work(m) || self.shared.has_unacked_grants(m)));
         if pending {
             self.ensure_balance();
         }
     }
 
-    /// Called when the event heap drains: respawn dirty roots if possible.
+    /// Called when no event is pending: respawn dirty roots if possible.
     /// Returns true when new work was scheduled.
     fn respawn_round(&mut self) -> bool {
         let mut progress = false;
-        let dirty: Vec<u32> = self.dirty.iter().copied().collect();
+        let dirty = std::mem::take(&mut self.book.lock().dirty);
         for root in dirty {
-            self.dirty.remove(&root);
             if root == ROOTLESS {
                 self.faulted = true;
                 self.lost.insert(root);
@@ -1259,7 +935,7 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
                 continue;
             }
             let v = VertexId::new(root);
-            let owner = self.table.owner(v);
+            let owner = self.shared.table().owner(v);
             if !self.net().alive[owner] {
                 // No events remain, so the owner can never come back.
                 self.faulted = true;
@@ -1277,28 +953,22 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
             self.respawns.insert(root, attempts + 1);
             // Discard the root's partial results and re-mine from scratch —
             // exactly-once results per root.
-            self.results.remove(&root);
-            self.live.remove(&root);
+            {
+                let mut book = self.book.lock();
+                book.results.remove(&root);
+                book.live.remove(&root);
+            }
             self.log(format!("respawn root={root} at m{owner}"));
-            let adj = self.table.adjacency(v).to_vec();
-            let mut ctx = ComputeContext::new();
-            self.app.spawn(v, &adj, &mut ctx);
-            self.interrupted |= ctx.interrupted;
-            self.record_results(root, ctx.results);
-            self.register_tasks(owner, ctx.new_tasks, false);
+            cluster::spawn_vertex(self.shared, owner, owner, v);
             self.ensure_wake(owner);
             progress = true;
         }
         if !progress {
             // Defensive: an alive machine with work but no wake means a
             // bookkeeping bug; re-arm rather than exit with work pending.
-            for m in 0..self.machines.len() {
-                if self.net().alive[m] && self.machines[m].has_work() {
-                    self.ensure_wake(m);
-                    if self.machines[m].wake_scheduled {
-                        progress = true;
-                    }
-                }
+            for m in 0..self.clocks.len() {
+                self.ensure_wake(m);
+                progress |= self.clocks[m].scheduled;
             }
         }
         if progress {
@@ -1309,54 +979,41 @@ impl<'a, A: GThinkerApp> Driver<'a, A> {
 
     /// See [`SimOutput::unfinished_roots`].
     fn unfinished_roots(&self) -> Vec<VertexId> {
-        let mut roots: BTreeSet<u32> = self.lost.union(&self.dirty).copied().collect();
-        roots.extend(self.live.iter().filter(|&(_, &n)| n > 0).map(|(&r, _)| r));
-        for mach in &self.machines {
-            roots.extend(mach.cursor.iter().map(|v| v.raw()));
-            roots.extend(mach.tasks.values().map(|t| t.root));
+        let book = self.book.lock();
+        let mut roots: BTreeSet<u32> = self.lost.union(&book.dirty).copied().collect();
+        roots.extend(book.live.iter().filter(|&(_, &n)| n > 0).map(|(&r, _)| r));
+        for m in 0..self.clocks.len() {
+            roots.extend(self.shared.unspawned_vertices(m).iter().map(|v| v.raw()));
         }
         if roots.contains(&ROOTLESS) {
-            return self.table.graph().vertices().collect();
+            return self.shared.table().graph().vertices().collect();
         }
         roots.into_iter().map(VertexId::new).collect()
     }
 
+    /// Anything still undone at exit is dropped work.
     fn finalize(&mut self) {
-        // Anything still undone at exit is dropped work.
-        for m in 0..self.machines.len() {
-            if !self.machines[m].cursor.is_empty() || !self.machines[m].tasks.is_empty() {
-                self.faulted = true;
-            }
-        }
-        if !self.dirty.is_empty() || self.live.values().any(|&n| n > 0) {
-            self.faulted = true;
-        }
-        let outcome = if self.faulted {
-            "faulted"
-        } else if self.interrupted {
-            "interrupted"
-        } else {
-            "complete"
-        };
-        self.log(format!(
-            "end outcome={outcome} spawned={} processed={} stolen={}",
-            self.tasks_spawned, self.tasks_processed, self.stolen_tasks
-        ));
+        let book = self.book.lock();
+        let undone = (0..self.clocks.len()).any(|m| self.shared.has_work(m))
+            || !book.dirty.is_empty()
+            || book.live.values().any(|&n| n > 0);
+        drop(book);
+        self.faulted |= undone;
     }
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
-    use crate::task::TaskLabel;
+    use crate::task::{ComputeContext, Frontier, TaskCodec, TaskLabel};
 
     /// A toy app: each vertex spawns one task that pulls the root's
     /// neighbors, then emits `[v, max_neighbor]` for every neighbor larger
-    /// than the root. Pull-heavy enough to exercise the split-phase path.
-    struct EchoApp;
+    /// than the root. Pull-heavy enough to exercise the virtual-time pulls.
+    pub(crate) struct EchoApp;
 
     #[derive(Clone, Debug)]
-    struct EchoTask {
+    pub(crate) struct EchoTask {
         root: VertexId,
         pulls: Vec<VertexId>,
     }
@@ -1423,7 +1080,7 @@ mod tests {
         }
     }
 
-    fn ring(n: u32) -> Arc<Graph> {
+    pub(crate) fn ring(n: u32) -> Arc<Graph> {
         let edges: Vec<(u32, u32)> = (0..n).map(|i| (i, (i + 1) % n)).collect();
         Arc::new(Graph::from_edges(n as usize, edges).unwrap())
     }
@@ -1576,29 +1233,44 @@ mod tests {
     }
 
     #[test]
-    fn sim_transport_rejects_blocking_pulls() {
-        let net = Arc::new(Mutex::new(NetInner {
-            machines: 2,
-            clock: 0,
-            next_seq: 0,
-            heap: BinaryHeap::new(),
-            inboxes: vec![VecDeque::new(), VecDeque::new()],
-            alive: vec![true; 2],
-            severed: BTreeSet::new(),
-            rng: SplitMix64::new(0),
-            link_latency_us: 1,
-            latency_jitter_us: 0,
-            drop_probability: 0.0,
-            log: EventLog::default(),
-            stats: TransportStats::default(),
-        }));
-        let t = SimTransport { net };
-        assert_eq!(
-            t.pull(0, 1, &[VertexId::new(1)], Duration::from_millis(1)),
-            Err(TransportError::Unsupported)
-        );
+    fn virtual_pull_answers_and_counts_a_dropped_attempt() {
+        let g = ring(6);
+        let table = PartitionedVertexTable::new(g.clone(), 2);
+        let sim = SimConfig::new(0).with_latency(40, 0);
+        let t = SimTransport {
+            net: Arc::new(Mutex::new(NetInner::new(2, &sim, 1_000))),
+            table: OnceLock::new(),
+        };
+        t.bind(&table);
         assert_eq!(t.machines(), 2);
-        t.send(0, 1, EngineMsg::Shutdown).unwrap();
-        assert_eq!(t.stats().messages_sent, 1);
+        let v = [VertexId::new(1)];
+        let timeout = Duration::from_micros(700);
+
+        // A severed link loses the request: the attempt times out at once and
+        // its wake is charged the timeout, not a round trip.
+        t.net().severed.insert(link_key(0, 1));
+        assert_eq!(t.pull(0, 1, &v, timeout), Err(TransportError::Timeout));
+        let stats = t.stats();
+        assert_eq!((stats.messages_sent, stats.messages_dropped), (1, 1));
+        assert_eq!(std::mem::take(&mut t.net().wake_cost_us), 700);
+
+        // Healed, the same pull answers with the owner's list and costs two
+        // link latencies.
+        t.net().severed.clear();
+        let reply = t.pull(0, 1, &v, timeout).unwrap();
+        assert_eq!(reply, vec![(v[0], Arc::new(g.neighbors(v[0]).to_vec()))]);
+        let stats = t.stats();
+        assert_eq!((stats.messages_sent, stats.messages_dropped), (3, 1));
+        assert_eq!(stats.pull_round_trips, 1);
+        let net = t.net();
+        assert_eq!(net.wake_cost_us, 80);
+        let log = &net.log.lines;
+        assert!(
+            log[0].ends_with("drop m0->m1 pull-req (partitioned)"),
+            "{log:?}"
+        );
+        assert!(log[1].contains("pull m0<-m1 1v"), "{log:?}");
+        // The clock never moved: every attempt is decided at the call.
+        assert_eq!(net.clock, 0);
     }
 }

@@ -96,6 +96,16 @@ impl<T> WorkerQueues<T> {
         task
     }
 
+    /// Empties `worker`'s deque (a crashed machine's lost work).
+    pub(crate) fn take_all(&self, worker: usize) -> Vec<T> {
+        let slot = &self.slots[worker];
+        let mut deque = slot.deque.lock();
+        // ordering: Relaxed — advisory mirror of the deque length for lock-free
+        // victim selection; the deque mutex is the source of truth.
+        slot.len.store(0, Ordering::Relaxed);
+        deque.drain(..).collect()
+    }
+
     /// Advisory length of `worker`'s deque (lock-free).
     pub fn approx_len(&self, worker: usize) -> usize {
         // ordering: Relaxed — advisory read; steal_into re-checks under the lock.
@@ -214,6 +224,8 @@ mod tests {
         assert_eq!(q.pop_local(0), Some(3));
         assert_eq!(q.pop_local(0), Some(2));
         assert_eq!(q.total_approx_len(), 2);
+        assert_eq!(q.take_all(0), vec![0, 1]);
+        assert_eq!(q.approx_len(0), 0);
     }
 
     #[test]

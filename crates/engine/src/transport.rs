@@ -1,11 +1,11 @@
 //! Pluggable message passing between machines.
 //!
 //! Every cross-machine interaction of the engine — vertex-table pulls and
-//! responses, Figure-8 steal requests/grants, spill/refill notices, shutdown —
-//! travels as an [`EngineMsg`] through a [`Transport`]. Same-machine worker
-//! deques stay shared-memory; only the machine-to-machine edges go through
-//! the trait, which is exactly the boundary a real cluster deployment would
-//! replace with sockets.
+//! responses, Figure-8 steal requests/grants/acks, shutdown — travels as an
+//! [`EngineMsg`] through a [`Transport`]. Same-machine worker deques stay
+//! shared-memory; only the machine-to-machine edges go through the trait,
+//! which is exactly the boundary a real cluster deployment would replace
+//! with sockets.
 //!
 //! Two implementations ship with the engine:
 //!
@@ -15,9 +15,14 @@
 //!   [`PartitionedVertexTable`]); *strict* mode disables that and forces every
 //!   pull through a full [`EngineMsg`] wire-form round trip, so the codec path
 //!   is exercised under the live multi-threaded engine.
-//! * [`crate::sim::SimTransport`] — a deterministic discrete-event simulator
-//!   with per-link latency, message drop, node crash + restart and a seeded
-//!   event log (see [`crate::sim`]).
+//! * [`crate::sim::SimTransport`] — the deterministic discrete-event
+//!   simulator's network, with per-link latency, message drop, node crash +
+//!   restart and a seeded event log (see [`crate::sim`]). It answers the
+//!   engine's blocking pulls in virtual time.
+//!
+//! Pulls are blocking on every transport: a task's worker calls
+//! [`Transport::pull`] (through the data service, which owns the retry
+//! policy) and waits for the answer.
 //!
 //! The workspace vendors no channel crate (only `rand` and `proptest`), so
 //! the in-process mailboxes are plain `Mutex<VecDeque<_>>` queues — the
@@ -47,10 +52,6 @@ pub enum TransportError {
     Timeout,
     /// The destination machine is not part of this transport.
     Closed,
-    /// The operation is not supported by this implementation (e.g. blocking
-    /// pulls on the discrete-event simulator, which is single-threaded and
-    /// uses split-phase pulls instead).
-    Unsupported,
 }
 
 impl fmt::Display for TransportError {
@@ -58,7 +59,6 @@ impl fmt::Display for TransportError {
         match self {
             TransportError::Timeout => write!(f, "request timed out"),
             TransportError::Closed => write!(f, "destination machine is not reachable"),
-            TransportError::Unsupported => write!(f, "operation unsupported by this transport"),
         }
     }
 }
@@ -127,12 +127,6 @@ pub trait Transport: Send + Sync {
         false
     }
 
-    /// Simulated per-fetch latency applied on the shared-memory fast path
-    /// (the `fetch_latency` knob of the pre-transport engine).
-    fn fetch_latency(&self) -> Duration {
-        Duration::ZERO
-    }
-
     /// Counters accumulated so far.
     fn stats(&self) -> TransportStats {
         TransportStats::default()
@@ -148,8 +142,6 @@ pub trait Transport: Send + Sync {
 pub enum TransportFactory {
     /// The in-process transport (machines are thread groups).
     InProc {
-        /// Sleep injected per remote fetch on the zero-copy fast path.
-        fetch_latency: Duration,
         /// Disable the fast path: every pull round-trips through the
         /// [`EngineMsg`] wire form.
         strict: bool,
@@ -163,7 +155,6 @@ pub enum TransportFactory {
 impl Default for TransportFactory {
     fn default() -> Self {
         TransportFactory::InProc {
-            fetch_latency: Duration::ZERO,
             strict: false,
             drop_first_pulls: 0,
         }
@@ -179,36 +170,15 @@ impl TransportFactory {
     /// The serialising in-process transport (no shared-memory fast path).
     pub fn strict() -> Self {
         TransportFactory::InProc {
-            fetch_latency: Duration::ZERO,
             strict: true,
             drop_first_pulls: 0,
-        }
-    }
-
-    /// Sets the simulated per-fetch latency.
-    pub fn with_fetch_latency(self, latency: Duration) -> Self {
-        match self {
-            TransportFactory::InProc {
-                strict,
-                drop_first_pulls,
-                ..
-            } => TransportFactory::InProc {
-                fetch_latency: latency,
-                strict,
-                drop_first_pulls,
-            },
         }
     }
 
     /// Arms pull-drop fault injection (testing).
     pub fn with_pull_drops(self, drops: u32) -> Self {
         match self {
-            TransportFactory::InProc {
-                fetch_latency,
-                strict,
-                ..
-            } => TransportFactory::InProc {
-                fetch_latency,
+            TransportFactory::InProc { strict, .. } => TransportFactory::InProc {
                 strict,
                 drop_first_pulls: drops,
             },
@@ -219,15 +189,9 @@ impl TransportFactory {
     pub fn build(&self, machines: usize) -> Arc<dyn Transport> {
         match *self {
             TransportFactory::InProc {
-                fetch_latency,
                 strict,
                 drop_first_pulls,
-            } => Arc::new(InProcTransport::new(
-                machines,
-                strict,
-                fetch_latency,
-                drop_first_pulls,
-            )),
+            } => Arc::new(InProcTransport::new(machines, strict, drop_first_pulls)),
         }
     }
 }
@@ -244,7 +208,6 @@ impl TransportFactory {
 pub struct InProcTransport {
     machines: usize,
     strict: bool,
-    fetch_latency: Duration,
     inboxes: Vec<Mutex<VecDeque<Envelope>>>,
     table: OnceLock<PartitionedVertexTable>,
     next_token: AtomicU64,
@@ -258,16 +221,10 @@ pub struct InProcTransport {
 impl InProcTransport {
     /// Creates the transport; `drop_first_pulls` pull attempts are lost
     /// before any succeed (fault injection).
-    pub fn new(
-        machines: usize,
-        strict: bool,
-        fetch_latency: Duration,
-        drop_first_pulls: u32,
-    ) -> Self {
+    pub fn new(machines: usize, strict: bool, drop_first_pulls: u32) -> Self {
         InProcTransport {
             machines: machines.max(1),
             strict,
-            fetch_latency,
             inboxes: (0..machines.max(1))
                 .map(|_| Mutex::new(VecDeque::new()))
                 .collect(),
@@ -342,9 +299,6 @@ impl Transport for InProcTransport {
         }
         // ordering: Relaxed — statistics counter; no other memory depends on it and readers tolerate skew.
         self.messages_sent.fetch_add(2, Ordering::Relaxed); // request + response
-        if !self.fetch_latency.is_zero() {
-            qcm_sync::thread::sleep(self.fetch_latency);
-        }
         let reply = if self.strict {
             // Full wire-form round trip: exactly the bytes a socket would
             // carry, including the re-materialised adjacency lists.
@@ -385,10 +339,6 @@ impl Transport for InProcTransport {
 
     fn shared_memory(&self) -> bool {
         !self.strict
-    }
-
-    fn fetch_latency(&self) -> Duration {
-        self.fetch_latency
     }
 
     fn stats(&self) -> TransportStats {
@@ -433,7 +383,7 @@ mod tests {
 
     #[test]
     fn send_and_try_recv_are_fifo_per_machine() {
-        let t = InProcTransport::new(2, false, Duration::ZERO, 0);
+        let t = InProcTransport::new(2, false, 0);
         t.send(0, 1, EngineMsg::StealAck { seq: 1 }).unwrap();
         t.send(0, 1, EngineMsg::StealAck { seq: 2 }).unwrap();
         assert_eq!(t.try_recv(0), None);
@@ -450,7 +400,7 @@ mod tests {
 
     #[test]
     fn strict_pull_round_trips_the_wire_form() {
-        let t = InProcTransport::new(2, true, Duration::ZERO, 0);
+        let t = InProcTransport::new(2, true, 0);
         assert!(!t.shared_memory());
         let tbl = table(2);
         t.bind(&tbl);
@@ -466,7 +416,7 @@ mod tests {
 
     #[test]
     fn fast_path_pull_serves_without_serialising() {
-        let t = InProcTransport::new(2, false, Duration::ZERO, 0);
+        let t = InProcTransport::new(2, false, 0);
         assert!(t.shared_memory());
         let tbl = table(2);
         t.bind(&tbl);
@@ -479,7 +429,7 @@ mod tests {
 
     #[test]
     fn armed_drops_surface_as_timeouts_then_clear() {
-        let t = InProcTransport::new(2, true, Duration::ZERO, 2);
+        let t = InProcTransport::new(2, true, 2);
         let tbl = table(2);
         t.bind(&tbl);
         let v = [VertexId::new(2)];
@@ -495,10 +445,8 @@ mod tests {
         let fast = TransportFactory::in_proc().build(3);
         assert_eq!(fast.machines(), 3);
         assert!(fast.shared_memory());
-        let strict = TransportFactory::strict()
-            .with_fetch_latency(Duration::from_micros(1))
-            .build(2);
+        let strict = TransportFactory::strict().build(2);
+        assert_eq!(strict.machines(), 2);
         assert!(!strict.shared_memory());
-        assert_eq!(strict.fetch_latency(), Duration::from_micros(1));
     }
 }

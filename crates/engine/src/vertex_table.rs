@@ -331,10 +331,6 @@ impl DataService {
             // Zero-copy transport: owners' partitions are readable in place.
             // The copy below *is* the simulated transfer into this machine's
             // address space, so remote traffic stays measurable.
-            let latency = self.transport.fetch_latency();
-            if !latency.is_zero() {
-                qcm_sync::thread::sleep(latency);
-            }
             Arc::new(self.table.adjacency(v).to_vec())
         } else {
             let mut attempt = 0u32;
@@ -381,42 +377,21 @@ impl DataService {
     /// Adds the accumulated scratch counters into the machine-wide metrics and
     /// resets the scratch.
     pub fn flush(&self, scratch: &mut FetchScratch) {
-        // ordering: Relaxed (all counters below) — machine-wide fetch
-        // statistics, batched from per-task scratch; read after workers join.
-        if scratch.local_reads > 0 {
-            self.metrics
-                .local_reads
-                .fetch_add(scratch.local_reads, Ordering::Relaxed);
-        }
-        if scratch.remote_fetches > 0 {
-            self.metrics
-                .remote_fetches
-                .fetch_add(scratch.remote_fetches, Ordering::Relaxed);
-        }
-        if scratch.remote_bytes > 0 {
-            self.metrics
-                .remote_bytes
-                .fetch_add(scratch.remote_bytes, Ordering::Relaxed);
-        }
-        if scratch.cache_hits > 0 {
-            self.metrics
-                .cache_hits
-                .fetch_add(scratch.cache_hits, Ordering::Relaxed);
-        }
-        if scratch.cache_evictions > 0 {
-            self.metrics
-                .cache_evictions
-                .fetch_add(scratch.cache_evictions, Ordering::Relaxed);
-        }
-        if scratch.pull_retries > 0 {
-            self.metrics
-                .pull_retries
-                .fetch_add(scratch.pull_retries, Ordering::Relaxed);
-        }
-        if scratch.pull_failures > 0 {
-            self.metrics
-                .pull_failures
-                .fetch_add(scratch.pull_failures, Ordering::Relaxed);
+        let m = &self.metrics;
+        for (counter, value) in [
+            (&m.local_reads, scratch.local_reads),
+            (&m.remote_fetches, scratch.remote_fetches),
+            (&m.remote_bytes, scratch.remote_bytes),
+            (&m.cache_hits, scratch.cache_hits),
+            (&m.cache_evictions, scratch.cache_evictions),
+            (&m.pull_retries, scratch.pull_retries),
+            (&m.pull_failures, scratch.pull_failures),
+        ] {
+            if value > 0 {
+                // ordering: Relaxed — machine-wide fetch statistics, batched
+                // from per-task scratch; read after workers join.
+                counter.fetch_add(value, Ordering::Relaxed);
+            }
         }
         *scratch = FetchScratch::default();
     }

@@ -1,10 +1,11 @@
 //! Deterministic fault-simulated quasi-clique mining.
 //!
-//! [`SimMiner`] is the fault-testing twin of [`crate::ParallelMiner`]: the
-//! same global k-core peel, the same [`QuasiCliqueApp`] and the same
-//! maximality/validity post-processing, but executed on
-//! [`qcm_engine::SimCluster`] — the seeded discrete-event simulator —
-//! instead of the live thread-per-worker cluster. One seed plus one fault
+//! [`SimMiner`] is the fault-testing wrapper next to
+//! [`crate::ParallelMiner`]: the same global k-core peel, the same
+//! [`QuasiCliqueApp`] and the same maximality/validity post-processing, but
+//! executed on [`qcm_engine::SimCluster`] — the seeded discrete-event
+//! simulator, which drives the live engine's scheduler in virtual time —
+//! instead of on worker threads. One seed plus one fault
 //! scenario replays byte-identically, so crash, straggler and partition
 //! behaviour is testable in CI without flaky timing.
 //!
@@ -66,9 +67,10 @@ pub struct SimMiner {
     pub params: MiningParams,
     /// Pruning-rule configuration.
     pub prune_config: PruneConfig,
-    /// Engine configuration (machines, τ_split, batch size, …). Thread
-    /// counts are not modelled — each machine performs one scheduling step
-    /// per virtual wake.
+    /// Engine configuration (machines, τ_split, batch size, queue
+    /// capacities, pull timeout/retries, balance period, …). Thread counts
+    /// are not modelled — each machine runs one mining thread, which takes
+    /// one worker step per virtual wake.
     pub engine_config: EngineConfig,
     /// Simulator configuration (seed, latency, drops, fault scenario).
     pub sim_config: SimConfig,

@@ -287,7 +287,7 @@ impl SessionBuilder {
     }
 
     /// Period of the inter-machine load balancer (parallel backend with
-    /// more than one machine).
+    /// more than one machine; virtual time on the fault simulator).
     pub fn balance_period(mut self, period: Duration) -> Self {
         self.balance_period = Some(period);
         self
@@ -694,6 +694,9 @@ impl Session {
             .with_index(self.index);
         if let Some(index) = shared_index {
             config = config.with_shared_index(index.clone());
+        }
+        if let Some(period) = self.balance_period {
+            config.balance_period = period;
         }
         let miner = SimMiner::new(self.params, config, sim).with_prune_config(self.prune);
         let output = match sink {

@@ -58,6 +58,39 @@ fn tiny_queues_with_disk_spill_produce_correct_results() {
     let _ = std::fs::remove_dir_all(&spill_dir);
 }
 
+/// The fault simulator runs the live scheduler, so the same queue bounds
+/// spill there too — deterministically, replaying from the seed.
+#[test]
+fn simulated_tiny_queues_spill_replay_and_match_serial() {
+    let (graph, params) = test_graph();
+    let serial = SerialMiner::new(params).mine(&graph);
+    let mut config = EngineConfig::cluster(2, 1);
+    config.batch_size = 2;
+    config.local_capacity = 2;
+    config.global_queue_capacity = 2;
+    config.tau_split = 1; // every task is "big" → hammer the global queue
+    let run = || {
+        qcm::parallel::SimMiner::new(params, config.clone(), SimConfig::new(21)).mine(graph.clone())
+    };
+    let (first, again) = (run(), run());
+    assert_eq!(first.outcome, RunOutcome::Complete);
+    assert_eq!(first.maximal, serial.maximal);
+    assert!(
+        first.metrics.spill_bytes_written > 0,
+        "2-slot queues with size-threshold decomposition must spill"
+    );
+    assert_eq!(
+        first.metrics.spill_bytes_written,
+        first.metrics.spill_bytes_read
+    );
+    assert_eq!(first.log_hash, again.log_hash);
+    assert_eq!(first.event_log, again.event_log);
+    assert_eq!(
+        first.metrics.spill_bytes_written,
+        again.metrics.spill_bytes_written
+    );
+}
+
 #[test]
 fn one_entry_vertex_cache_is_only_a_performance_problem() {
     let (graph, params) = test_graph();

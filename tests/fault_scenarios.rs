@@ -6,6 +6,10 @@
 //!
 //! * **result equivalence** with the serial miner wherever the scenario
 //!   permits completion,
+//! * **the fault is exercised** — the event log shows the crash losing work
+//!   that is respawned, the straggler donating a steal grant, and the
+//!   partition dropping a steal grant that is resent or whose roots are
+//!   respawned,
 //! * **seeded replay** — the same seed and scenario reproduce a
 //!   byte-identical event log (compared via its FNV-1a hash *and* the full
 //!   log lines),
@@ -58,9 +62,11 @@ fn scenario(name: &str, seed: u64) -> SimConfig {
         // Machine 2 runs 8x slower from early on — the balancer must route
         // around it without losing results.
         "straggler" => SimConfig::straggler_scenario(seed, 2, 1_000, 8),
-        // The link between machine 0 and steal victim 2 is severed, then
-        // heals; in-flight grants must survive via retransmission.
-        "partition" => SimConfig::partition_scenario(seed, 0, 2, 2_000, Some(25_000)),
+        // The balancer asks steal victim 2 for a batch on machine 3's behalf
+        // at 30 ms; the link between them is severed just after, so the
+        // grant is dropped, then heals. The grant must survive via
+        // retransmission, or its roots must be respawned.
+        "partition" => SimConfig::partition_scenario(seed, 2, 3, 30_001, Some(60_000)),
         other => panic!("unknown scenario {other:?}"),
     }
 }
@@ -80,9 +86,53 @@ fn selected(name: &str, seed: u64) -> bool {
 }
 
 fn run_sim(graph: &Arc<Graph>, params: MiningParams, sim: SimConfig) -> SimMiningOutput {
-    let config =
+    let mut config =
         EngineConfig::cluster(MACHINES, 1).with_decomposition(30, Duration::from_millis(50));
+    // Only a machine's global queue can be stolen from, and at τ_split = 30
+    // every task of this graph is small. A one-task worker deque overflows
+    // them into that queue, and a 5 ms balancing period lets the balancer
+    // act within the ~30 ms the workload runs, so the steal protocol is
+    // exercised.
+    config.local_capacity = 1;
+    config.balance_period = Duration::from_millis(5);
     SimMiner::new(params, config, sim).mine(graph.clone())
+}
+
+/// Asserts from the event log that the scenario's fault actually happened
+/// and was recovered from.
+fn assert_exercised(name: &str, seed: u64, out: &SimMiningOutput) {
+    let log = &out.event_log;
+    let has = |needle: &str| log.iter().any(|line| line.contains(needle));
+    match name {
+        "crash" => assert!(
+            has(" respawn root="),
+            "crash seed {seed}: the crash lost no work to respawn"
+        ),
+        "straggler" => assert!(
+            log.iter()
+                .any(|line| line.contains(" send m2->") && line.contains(" steal-grant ")),
+            "straggler seed {seed}: the straggler never donated a steal grant"
+        ),
+        "partition" => {
+            let seq = log
+                .iter()
+                .filter(|line| {
+                    line.contains("drop m2->m3 steal-grant") && line.ends_with("(partitioned)")
+                })
+                .find_map(|line| line.split("seq=").nth(1)?.split(' ').next())
+                .unwrap_or_else(|| {
+                    panic!("partition seed {seed}: no steal grant dropped on the severed link")
+                });
+            let acked = has(&format!("steal-ack seq={seq} "));
+            let respawned = has(&format!("steal-grant seq={seq} m2->m3 lost after retries"))
+                && has(" respawn root=");
+            assert!(
+                acked || respawned,
+                "partition seed {seed}: dropped grant seq={seq} neither arrived nor had its roots respawned"
+            );
+        }
+        other => panic!("unknown scenario {other:?}"),
+    }
 }
 
 /// Writes the run's event log under `$CARGO_TARGET_TMPDIR/fault-logs/` so a
@@ -117,6 +167,7 @@ fn recoverable_scenarios_match_the_serial_miner() {
             }
             let out = run_sim(&graph, params, scenario(name, seed));
             dump_log(name, seed, &out);
+            assert_exercised(name, seed, &out);
             assert_eq!(
                 out.outcome,
                 RunOutcome::Complete,
