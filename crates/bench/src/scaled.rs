@@ -1,15 +1,16 @@
-//! Scaled-down dataset variants for Criterion benchmarks and harness tests.
+//! Scaled-down dataset variants for quick runs and harness tests.
 //!
-//! `cargo bench` runs every experiment many times, so the Criterion targets
-//! use these reduced specs (a few hundred to a few thousand vertices) while
-//! the `experiments` binary uses the full stand-in sizes. The scaling keeps
-//! the mining parameters and the structural ingredients (power-law background,
-//! planted communities, hard core) intact so the qualitative shapes survive.
+//! `experiments all --quick` and the full-size `bench_suite` rows use
+//! [`bench_scale`] (a few hundred to a few thousand vertices), while plain
+//! `experiments` runs the full stand-in sizes; `bench_suite --quick` and the
+//! harness's own tests use [`tiny`]. The scaling keeps the mining parameters
+//! and the structural ingredients (power-law background, planted
+//! communities, hard core) intact so the qualitative shapes survive.
 
 use qcm_gen::DatasetSpec;
 
-/// A medium reduction (~quarter scale) used by the per-table Criterion
-/// benchmarks.
+/// A medium reduction (~quarter scale) used by `experiments --quick` and the
+/// full-size `bench_suite` rows.
 pub fn bench_scale(spec: &DatasetSpec) -> DatasetSpec {
     let mut s = spec.clone();
     s.num_vertices = (s.num_vertices / 4).clamp(400, 5_000);
@@ -22,7 +23,8 @@ pub fn bench_scale(spec: &DatasetSpec) -> DatasetSpec {
     s
 }
 
-/// A strong reduction used by unit tests of the harness itself.
+/// A strong reduction used by `bench_suite --quick` and unit tests of the
+/// harness itself.
 pub fn tiny(spec: &DatasetSpec) -> DatasetSpec {
     let mut s = spec.clone();
     s.num_vertices = s.num_vertices.min(500);

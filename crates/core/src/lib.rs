@@ -33,7 +33,9 @@
 //! and runs on the reforged G-thinker-style engine in `qcm-engine`; both reuse
 //! the primitives exported here ([`iterative_bounding()`], [`recursive_mine()`],
 //! [`MiningContext`], the bounds and rules modules), which is what the paper
-//! means by algorithm–system codesign.
+//! means by algorithm–system codesign. An engine task runs the very same
+//! [`recursive_mine()`] loop, with an [`Offload`] policy that hands subtrees
+//! off as new tasks (time-delayed or size-threshold decomposition).
 
 pub mod api;
 pub mod bounds;
@@ -69,7 +71,9 @@ pub use maximality::remove_non_maximal;
 pub use params::{Gamma, MiningParams};
 pub use quasiclique::{is_quasi_clique, is_quasi_clique_local, is_valid_quasi_clique};
 pub use quick::quick_mine;
-pub use recursive_mine::{recursive_mine, two_hop_bits, two_hop_bits_into, two_hop_local};
+pub use recursive_mine::{
+    recursive_mine, two_hop_bits, two_hop_bits_into, two_hop_local, NeverOffload, Offload,
+};
 pub use results::{
     CandidateForwarder, CollectingSink, CountingSink, QuasiCliqueSet, QuasiCliqueSink, ResultSink,
 };

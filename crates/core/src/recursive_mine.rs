@@ -9,6 +9,12 @@
 //! non-maximal `G(S')` when a larger result below it already exists — the
 //! remaining non-maximal reports are removed by the post-processing phase,
 //! exactly as in the paper.
+//!
+//! The same loop runs inside the parallel engine's tasks. Task decomposition
+//! (Algorithms 8–10) adds one decision to it, the [`Offload`] hook: before
+//! descending into a child subtree, the search may hand it off as a new task
+//! and examine `G(S')` itself instead. The serial miner passes
+//! [`NeverOffload`], which compiles the hook away.
 
 use crate::context::MiningContext;
 use crate::cover::{find_cover_vertex_into, move_cover_to_tail_with};
@@ -74,12 +80,11 @@ pub fn two_hop_local(g: &qcm_graph::LocalGraph, v: u32) -> Vec<u32> {
 /// Writes `ext` restricted to the two-hop neighborhood of `v` into `out`
 /// (cleared first) when the diameter rule applies (γ ≥ 0.5 and the rule is
 /// enabled); otherwise copies `ext` as-is. The two-hop bitset and hop
-/// frontier come from the context's scratch arena. Shared by this serial
-/// recursion and both decomposition loops in `qcm-parallel`.
+/// frontier come from the context's scratch arena.
 ///
 /// The membership filter is an `O(1)`-per-candidate bitset probe (the old
 /// path binary-searched a sorted two-hop list per candidate).
-pub fn shrink_by_diameter(ctx: &mut MiningContext<'_>, ext: &[u32], v: u32, out: &mut Vec<u32>) {
+fn shrink_by_diameter(ctx: &mut MiningContext<'_>, ext: &[u32], v: u32, out: &mut Vec<u32>) {
     out.clear();
     if ctx.config.diameter && ctx.params.gamma.diameter_two_applies() {
         let graph = ctx.graph;
@@ -95,19 +100,10 @@ pub fn shrink_by_diameter(ctx: &mut MiningContext<'_>, ext: &[u32], v: u32, out:
     }
 }
 
-/// Algorithm 2: mines all valid quasi-cliques extending `S` (including
-/// `G(S ∪ ext(S))` via the lookahead), reporting them through the context's
-/// sink. Returns `true` iff some valid quasi-clique **strictly** containing
-/// `S` was found.
-///
-/// `ext` is consumed destructively (vertices are removed as they are
-/// processed, and cover vertices are moved to the tail), matching the paper's
-/// in-place treatment of the extension list.
 /// Cover-vertex pruning over scratch frames (Algorithm 2 lines 2–4): moves
 /// the winning cover set `C_S(u)` to the tail of `ext` and returns the
-/// branchable prefix length. Shared by this serial recursion and both
-/// decomposition loops in `qcm-parallel`.
-pub fn cover_prune_prefix(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut [u32]) -> usize {
+/// branchable prefix length.
+fn cover_prune_prefix(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut [u32]) -> usize {
     let graph = ctx.graph;
     let params = ctx.params;
     let mut covered = ctx.scratch.take_vec();
@@ -118,7 +114,46 @@ pub fn cover_prune_prefix(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut [u32
     prefix_len
 }
 
-pub fn recursive_mine(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut Vec<u32>) -> bool {
+/// Task decomposition's one decision (Algorithms 8–10): whether the search
+/// hands the subtree rooted at an unpruned child `⟨S', ext(S')⟩` off as a
+/// new task instead of descending into it.
+pub trait Offload {
+    /// Called before [`recursive_mine`] descends into `⟨s, ext⟩` (local
+    /// ids). Returning `true` takes the subtree: the search skips it and
+    /// examines `G(S')` itself, since the new task will not report back
+    /// whether it found a strict superset.
+    fn offload(&mut self, s: &[u32], ext: &[u32]) -> bool;
+}
+
+/// The serial policy: every subtree is mined in place.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct NeverOffload;
+
+impl Offload for NeverOffload {
+    #[inline(always)]
+    fn offload(&mut self, _s: &[u32], _ext: &[u32]) -> bool {
+        false
+    }
+}
+
+/// Algorithm 2: mines all valid quasi-cliques extending `S` (including
+/// `G(S ∪ ext(S))` via the lookahead), reporting them through the context's
+/// sink. Returns `true` iff some valid quasi-clique **strictly** containing
+/// `S` was found.
+///
+/// `ext` is consumed destructively (vertices are removed as they are
+/// processed, and cover vertices are moved to the tail), matching the paper's
+/// in-place treatment of the extension list.
+///
+/// `offload` is asked before each descent (Algorithm 10, lines 18–24); with
+/// [`NeverOffload`] this is the serial recursion, and the engine's tasks
+/// pass a policy that decomposes by size threshold or after `τ_time`.
+pub fn recursive_mine<O: Offload>(
+    ctx: &mut MiningContext<'_>,
+    s: &[u32],
+    ext: &mut Vec<u32>,
+    offload: &mut O,
+) -> bool {
     let mut found = false;
 
     // Lines 2–4: cover-vertex pruning — the covered tail is never used as the
@@ -137,8 +172,9 @@ pub fn recursive_mine(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut Vec<u32>
     while i < branch.len() {
         let v = branch[i];
         i += 1;
-        // Cooperative cancellation: abandon the remaining subtrees. Everything
-        // reported so far stays valid; the run is labelled partial upstream.
+        // Cooperative cancellation: abandon the remaining subtrees without
+        // offloading them. Everything reported so far stays valid; the run
+        // is labelled partial upstream.
         if ctx.is_cancelled() {
             break;
         }
@@ -190,9 +226,11 @@ pub fn recursive_mine(ctx: &mut MiningContext<'_>, s: &[u32], ext: &mut Vec<u32>
             // appropriate.
             let pruned = iterative_bounding(ctx, &mut s_prime, &mut ext_prime);
 
-            // Lines 20–25.
+            // Lines 20–25: recurse, unless the subtree is offloaded — then
+            // nothing below reports back to this frame.
             if !pruned && s_prime.len() + ext_prime.len() >= ctx.params.min_size {
-                let child_found = recursive_mine(ctx, &s_prime, &mut ext_prime);
+                let child_found = !offload.offload(&s_prime, &ext_prime)
+                    && recursive_mine(ctx, &s_prime, &mut ext_prime, offload);
                 found = found || child_found;
                 if !child_found && ctx.report_if_valid(&s_prime) {
                     found = true;
@@ -253,7 +291,7 @@ mod tests {
                 .filter(|&u| u > v)
                 .collect();
             let s = vec![v];
-            let found = recursive_mine(&mut ctx, &s, &mut ext);
+            let found = recursive_mine(&mut ctx, &s, &mut ext, &mut NeverOffload);
             // The root S = {v} is a singleton: never reportable on its own.
             let _ = found;
         }
@@ -314,7 +352,7 @@ mod tests {
         let params = MiningParams::new(0.9, 5);
         let mut ctx = MiningContext::new(&lg, params, &mut sink);
         let mut ext: Vec<u32> = (1..5).collect();
-        let found = recursive_mine(&mut ctx, &[0], &mut ext);
+        let found = recursive_mine(&mut ctx, &[0], &mut ext, &mut NeverOffload);
         assert!(found);
         assert!(ctx.stats.lookahead_hits >= 1);
         assert!(sink.contains(&ids(&[0, 1, 2, 3, 4])));
@@ -330,7 +368,7 @@ mod tests {
         token.cancel();
         ctx.cancel = token;
         let mut ext: Vec<u32> = (1..9).collect();
-        let found = recursive_mine(&mut ctx, &[0], &mut ext);
+        let found = recursive_mine(&mut ctx, &[0], &mut ext, &mut NeverOffload);
         assert!(!found);
         assert_eq!(ctx.stats.nodes_expanded, 0);
         assert!(sink.is_empty(), "a pre-cancelled run must not report");
@@ -366,7 +404,7 @@ mod tests {
                     .into_iter()
                     .filter(|&u| u > v)
                     .collect();
-                recursive_mine(&mut ctx, &[v], &mut ext);
+                recursive_mine(&mut ctx, &[v], &mut ext, &mut NeverOffload);
             }
             crate::maximality::remove_non_maximal(sink)
         };

@@ -15,7 +15,7 @@ use crate::config::PruneConfig;
 use crate::context::MiningContext;
 use crate::maximality::remove_non_maximal;
 use crate::params::MiningParams;
-use crate::recursive_mine::{recursive_mine, two_hop_local};
+use crate::recursive_mine::{recursive_mine, two_hop_local, NeverOffload};
 use crate::results::{QuasiCliqueSet, QuasiCliqueSink};
 use crate::scratch::{MiningScratch, ScratchMode};
 use crate::stats::MiningStats;
@@ -194,7 +194,7 @@ impl SerialMiner {
                         ((v + 1)..work.capacity() as u32).collect()
                     };
                 let s = vec![v];
-                recursive_mine(&mut ctx, &s, &mut ext);
+                recursive_mine(&mut ctx, &s, &mut ext, &mut NeverOffload);
                 scratch = std::mem::take(&mut ctx.scratch);
                 stats.merge(&ctx.stats);
                 interrupted |= ctx.interrupted;

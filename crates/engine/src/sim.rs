@@ -69,7 +69,7 @@ use crate::metrics::EngineMetrics;
 use crate::task::GThinkerApp;
 use crate::transport::{Envelope, MachineId, PullReply, Transport, TransportError, TransportStats};
 use crate::vertex_table::PartitionedVertexTable;
-use qcm_core::{MiningScratch, RunOutcome};
+use qcm_core::{CancelToken, MiningScratch, RunOutcome};
 use qcm_graph::{Fnv1a64, Graph, NeighborhoodIndex, VertexId};
 use qcm_sync::{Arc, Mutex, OnceLock};
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
@@ -589,17 +589,14 @@ impl RootHooks for Mutex<RootBook> {
 pub struct SimOutput {
     /// Result rows, flattened in root-id order (exactly-once per root).
     pub results: Vec<Vec<VertexId>>,
-    /// Run metrics; `virtual_time` is set and `elapsed` is the (irrelevant
-    /// for benchmarking) wall time of the simulation itself.
+    /// Run metrics: `outcome` is the run outcome, `virtual_time` the final
+    /// virtual clock, and `elapsed` the (irrelevant for benchmarking) wall
+    /// time of the simulation itself.
     pub metrics: EngineMetrics,
-    /// The run outcome (also in `metrics.outcome`).
-    pub outcome: RunOutcome,
     /// The seeded event log.
     pub event_log: Vec<String>,
     /// FNV-1a hash over the event-log lines — the replay-determinism witness.
     pub log_hash: u64,
-    /// Final virtual clock in microseconds.
-    pub virtual_us: u64,
     /// The neighborhood index the run served edge queries through.
     pub index: Option<Arc<NeighborhoodIndex>>,
     /// Roots whose work did not run to completion, in id order: lost for
@@ -631,6 +628,7 @@ impl<A: GThinkerApp> SimCluster<A> {
         let wall_start = qcm_obs::clock::now();
         let engine = EngineConfig {
             threads_per_machine: 1,
+            cancel: CancelToken::never(),
             ..self.engine.clone()
         };
         let machines = engine.num_machines;
@@ -695,10 +693,8 @@ impl<A: GThinkerApp> SimCluster<A> {
         SimOutput {
             results,
             metrics,
-            outcome,
             event_log: lines,
             log_hash: hash,
-            virtual_us,
             index: output.index,
             unfinished_roots,
         }
@@ -1105,13 +1101,9 @@ pub(crate) mod tests {
     fn fault_free_sim_completes_with_all_results() {
         let g = ring(24);
         let out = run(EngineConfig::cluster(4, 1), SimConfig::new(7), g.clone());
-        assert_eq!(out.outcome, RunOutcome::Complete);
+        assert_eq!(out.metrics.outcome, RunOutcome::Complete);
         assert_eq!(out.results.len(), expected_rows(&g));
-        assert!(out.virtual_us > 0);
-        assert_eq!(
-            out.metrics.virtual_time,
-            Some(Duration::from_micros(out.virtual_us))
-        );
+        assert!(out.metrics.virtual_time > Some(Duration::ZERO));
         assert!(out.metrics.transport_messages > 0);
     }
 
@@ -1125,7 +1117,7 @@ pub(crate) mod tests {
         assert_eq!(a.log_hash, b.log_hash, "same seed must replay identically");
         assert_eq!(a.event_log, b.event_log);
         assert_eq!(a.results, b.results);
-        assert_eq!(a.outcome, b.outcome);
+        assert_eq!(a.metrics.outcome, b.metrics.outcome);
     }
 
     #[test]
@@ -1145,14 +1137,14 @@ pub(crate) mod tests {
     fn crash_with_restart_recovers_to_complete() {
         let g = ring(24);
         let baseline = run(EngineConfig::cluster(3, 1), SimConfig::new(9), g.clone());
-        assert_eq!(baseline.outcome, RunOutcome::Complete);
+        assert_eq!(baseline.metrics.outcome, RunOutcome::Complete);
         let out = run(
             EngineConfig::cluster(3, 1),
             SimConfig::crash_scenario(9, 1, 2_000, Some(30_000)),
             g.clone(),
         );
         assert_eq!(
-            out.outcome,
+            out.metrics.outcome,
             RunOutcome::Complete,
             "restart permits completion"
         );
@@ -1171,7 +1163,7 @@ pub(crate) mod tests {
             SimConfig::crash_scenario(11, 1, 1_500, None),
             g,
         );
-        assert_eq!(out.outcome, RunOutcome::Faulted);
+        assert_eq!(out.metrics.outcome, RunOutcome::Faulted);
     }
 
     #[test]
@@ -1184,7 +1176,7 @@ pub(crate) mod tests {
             SimConfig::crash_scenario(11, 1, 1_500, None),
             g.clone(),
         );
-        assert_eq!(out.outcome, RunOutcome::Faulted);
+        assert_eq!(out.metrics.outcome, RunOutcome::Faulted);
         assert!(!out.unfinished_roots.is_empty());
         for v in g.vertices() {
             if out.unfinished_roots.contains(&v) {
@@ -1207,7 +1199,7 @@ pub(crate) mod tests {
             SimConfig::new(3).with_drop_probability(1.0),
             g,
         );
-        assert_eq!(out.outcome, RunOutcome::Faulted);
+        assert_eq!(out.metrics.outcome, RunOutcome::Faulted);
         assert!(out.metrics.transport_dropped > 0);
         assert!(out.metrics.pull_failures > 0);
     }
@@ -1218,12 +1210,12 @@ pub(crate) mod tests {
         let engine = EngineConfig::cluster(3, 1);
         let fast = run(engine.clone(), SimConfig::new(5), g.clone());
         let slow = run(engine, SimConfig::straggler_scenario(5, 0, 0, 50), g);
-        assert_eq!(slow.outcome, RunOutcome::Complete);
+        assert_eq!(slow.metrics.outcome, RunOutcome::Complete);
         assert!(
-            slow.virtual_us > fast.virtual_us,
-            "a 50x straggler must stretch virtual time ({} vs {})",
-            slow.virtual_us,
-            fast.virtual_us
+            slow.metrics.virtual_time > fast.metrics.virtual_time,
+            "a 50x straggler must stretch virtual time ({:?} vs {:?})",
+            slow.metrics.virtual_time,
+            fast.metrics.virtual_time
         );
         let mut a = fast.results.clone();
         let mut b = slow.results.clone();

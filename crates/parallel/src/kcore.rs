@@ -1,5 +1,5 @@
-//! The global k-core shrink both parallel front ends run before the engine
-//! spawns a single task.
+//! The global k-core shrink the parallel front end runs before the engine
+//! spawns a single task, on threads or on the fault simulator.
 //!
 //! The size-threshold rule (P2, Theorem 2) says no vertex of degree
 //! `< k = ⌈γ(τ_size − 1)⌉` can be in a result. [`qcm_core::SerialMiner`]
@@ -23,6 +23,7 @@ use qcm_graph::subgraph::induced_subgraph;
 use qcm_graph::{Graph, NeighborhoodIndex, Neighborhoods, VertexId};
 use qcm_obs::clock::Instant;
 use qcm_sync::Arc;
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// The graph a parallel run mines: the input shrunk to its global k-core.
@@ -69,7 +70,7 @@ impl CoreGraph {
         self.graph.num_vertices()
     }
 
-    /// The post-processing both front ends share. Maps every raw engine row
+    /// The post-processing of every parallel run. Maps every raw engine row
     /// back to original ids and forwards it to `observer`, keeps the maximal
     /// sets, then re-checks each against `index`, the index of the graph the
     /// engine actually mined. The distributed search assembled these sets
@@ -106,6 +107,38 @@ impl CoreGraph {
             });
         }
         maximal
+    }
+
+    /// Whether work that never finished could have found a strict superset
+    /// of `members`, a set some finished root reported. `unfinished` holds
+    /// mined ids.
+    ///
+    /// A root's tasks explore exactly the sets whose smallest vertex is that
+    /// root. A superset with the same smallest vertex is reported by the same
+    /// root, so a finished root's superset has already removed `members` as
+    /// non-maximal. Any other superset `M` has a smaller least vertex `r`,
+    /// and only an unfinished `r` can have missed it. For γ ≥ 0.5, `G(M)` has
+    /// diameter ≤ 2 (Theorem 1 of Pei et al., rule P1), so `r` lies within
+    /// two hops of every member; for smaller γ any unfinished smaller root
+    /// may do.
+    pub(crate) fn unfinished_work_may_extend(
+        &self,
+        members: &[VertexId],
+        unfinished: &BTreeSet<u32>,
+        params: &MiningParams,
+    ) -> bool {
+        let root = self.mined_id(members[0]);
+        if unfinished.contains(&root) {
+            // The reporting root itself lost work: its larger sets may be gone.
+            return true;
+        }
+        if !params.gamma.diameter_two_applies() {
+            return unfinished.range(..root).next().is_some();
+        }
+        let smaller_unfinished = |w: &VertexId| w.raw() < root && unfinished.contains(&w.raw());
+        self.graph.neighbors(VertexId::new(root)).iter().any(|w| {
+            smaller_unfinished(w) || self.graph.neighbors(*w).iter().any(smaller_unfinished)
+        })
     }
 
     /// The mined-graph id of original vertex `v`, which must be in the core.

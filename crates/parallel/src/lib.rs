@@ -9,14 +9,17 @@
 //!   Algorithms 8–10 mine/decompose it).
 //! * [`DecompositionStrategy`] selects between the simple size-threshold
 //!   splitting of Algorithm 8 and the paper's **time-delayed task
-//!   decomposition** of Algorithms 9–10.
-//! * Before the cluster starts, both front ends shrink the graph to its
+//!   decomposition** of Algorithms 9–10. Both are a policy for the one
+//!   backtracking loop, `qcm_core::recursive_mine`, which every task runs.
+//! * Before the cluster starts, the front end shrinks the graph to its
 //!   global k-core (the size-threshold rule P2, as in `SerialMiner`), so
 //!   the engine spawns tasks only from vertices that can be in a result.
 //! * [`ParallelMiner`] is the one-call front end: configure γ, τ_size,
 //!   τ_split, τ_time and the simulated cluster shape, call
 //!   [`ParallelMiner::mine`], get back the maximal quasi-cliques plus the
 //!   engine metrics used to regenerate the paper's tables and figures.
+//!   [`ParallelMiner::with_sim`] runs the same job on the deterministic
+//!   fault simulator instead of on worker threads.
 //!
 //! ```
 //! use qcm_core::MiningParams;
@@ -43,11 +46,9 @@ pub mod iterations;
 mod kcore;
 pub mod mine;
 pub mod runner;
-pub mod sim;
 pub mod task;
 
 pub use app::QuasiCliqueApp;
 pub use mine::{DecompositionStrategy, MineOutcome, MinePhaseParams};
 pub use runner::{ParallelMiner, ParallelMiningOutput};
-pub use sim::{SimMiner, SimMiningOutput};
 pub use task::{QCTask, TaskGraph, TaskPhase};

@@ -1,27 +1,30 @@
 //! Iteration 3: mining and task decomposition (Algorithms 8–10).
 //!
 //! A mining-phase task holds a materialised subgraph and a candidate
-//! `⟨S, ext(S)⟩`. Two decomposition strategies are implemented:
+//! `⟨S, ext(S)⟩`, and mines it with the serial recursion,
+//! [`qcm_core::recursive_mine()`]. Decomposition is that loop's [`Offload`]
+//! hook, which the task's subtask collector implements: instead of descending into an
+//! unpruned child `⟨S', ext(S')⟩`, the search wraps it into a new task with a
+//! smaller materialised subgraph and examines `G(S')` itself. The strategy
+//! only decides when the hook takes a child:
 //!
-//! * [`DecompositionStrategy::SizeThreshold`] — Algorithm 8: if
-//!   `|ext(S)| ≤ τ_split` the task is mined in place with the serial
-//!   recursion, otherwise one subtask per (surviving) extension vertex is
-//!   created immediately.
-//! * [`DecompositionStrategy::TimeDelayed`] — Algorithms 9–10: the task mines
-//!   its subgraph by backtracking until `τ_time` elapses, after which every
-//!   remaining (unpruned) subtree is wrapped into a new task with a smaller
-//!   materialised subgraph. This is the paper's headline technique: cheap
-//!   tasks finish before the timeout and never pay decomposition overhead,
-//!   expensive tasks are split at whatever granularity they have reached.
+//! * [`DecompositionStrategy::SizeThreshold`] — Algorithm 8: a task with
+//!   `|ext(S)| ≤ τ_split` is mined in place; a bigger one hands off every
+//!   (surviving) child at once.
+//! * [`DecompositionStrategy::TimeDelayed`] — Algorithms 9–10: the task
+//!   mines in place until `τ_time` elapses, after which every remaining
+//!   unpruned subtree is handed off. This is the paper's headline technique:
+//!   cheap tasks finish before the timeout and never pay decomposition
+//!   overhead, expensive tasks are split at whatever granularity they have
+//!   reached.
 //!
 //! The subgraph-materialisation time of creating subtasks is measured
 //! separately from the mining time; the ratio is Table 6 of the paper.
 
 use crate::task::{QCTask, TaskGraph};
-use qcm_core::recursive_mine::{cover_prune_prefix, shrink_by_diameter};
 use qcm_core::{
-    is_quasi_clique_local, iterative_bounding, recursive_mine, CancelToken, MiningContext,
-    MiningParams, MiningScratch, MiningStats, PruneConfig, QuasiCliqueSet,
+    recursive_mine, CancelToken, MiningContext, MiningParams, MiningScratch, MiningStats, Offload,
+    PruneConfig, QuasiCliqueSet,
 };
 use qcm_graph::{IndexSpec, LocalGraph, VertexId};
 use qcm_obs::clock::Instant;
@@ -104,9 +107,17 @@ pub fn run_mine_phase(
     }
 
     let mut sink = QuasiCliqueSet::new();
+    let when = match phase.strategy {
+        DecompositionStrategy::SizeThreshold if ext_local.len() > phase.tau_split => {
+            OffloadWhen::Always
+        }
+        DecompositionStrategy::SizeThreshold => OffloadWhen::Never,
+        DecompositionStrategy::TimeDelayed => OffloadWhen::After(Instant::now() + phase.tau_time),
+    };
     let mut collector = SubtaskCollector {
         parent: task,
         graph: &graph,
+        when,
         subtasks: Vec::new(),
         materialization_time: Duration::ZERO,
     };
@@ -121,24 +132,7 @@ pub fn run_mine_phase(
             // Nothing to extend: G(S) itself may still be a result.
             ctx.report_if_valid(&s_local);
         } else {
-            match phase.strategy {
-                DecompositionStrategy::SizeThreshold => {
-                    if ext_local.len() <= phase.tau_split {
-                        recursive_mine(&mut ctx, &s_local, &mut ext_local);
-                    } else {
-                        size_threshold_decompose(
-                            &mut ctx,
-                            &s_local,
-                            &mut ext_local,
-                            &mut collector,
-                        );
-                    }
-                }
-                DecompositionStrategy::TimeDelayed => {
-                    let deadline = Instant::now() + phase.tau_time;
-                    time_delayed(&mut ctx, &s_local, &mut ext_local, deadline, &mut collector);
-                }
-            }
+            recursive_mine(&mut ctx, &s_local, &mut ext_local, &mut collector);
         }
         outcome.stats = ctx.stats;
         outcome.interrupted = ctx.interrupted;
@@ -154,13 +148,39 @@ pub fn run_mine_phase(
     outcome
 }
 
-/// Collects decomposed subtasks, materialising their (smaller) subgraphs and
-/// accounting the time spent doing so.
+/// When [`SubtaskCollector`] takes a child subtree off the search.
+enum OffloadWhen {
+    /// A small size-threshold task: everything is mined in place.
+    Never,
+    /// A big size-threshold task: every child becomes a subtask.
+    Always,
+    /// Time-delayed: children become subtasks once the deadline has passed.
+    After(Instant),
+}
+
+/// The decomposition policy of one task: collects offloaded subtasks,
+/// materialising their (smaller) subgraphs and accounting the time spent
+/// doing so.
 struct SubtaskCollector<'a> {
     parent: &'a QCTask,
     graph: &'a LocalGraph,
+    when: OffloadWhen,
     subtasks: Vec<QCTask>,
     materialization_time: Duration,
+}
+
+impl Offload for SubtaskCollector<'_> {
+    fn offload(&mut self, s: &[u32], ext: &[u32]) -> bool {
+        let take = match self.when {
+            OffloadWhen::Never => false,
+            OffloadWhen::Always => true,
+            OffloadWhen::After(deadline) => Instant::now() > deadline,
+        };
+        if take {
+            self.add(s, ext);
+        }
+        take
+    }
 }
 
 impl SubtaskCollector<'_> {
@@ -199,163 +219,6 @@ impl SubtaskCollector<'_> {
         ));
         self.materialization_time += t0.elapsed();
     }
-}
-
-/// Algorithm 8 (lines 3–24): decompose a big task into one subtask per
-/// surviving extension vertex, applying the same pruning as the recursion.
-fn size_threshold_decompose(
-    ctx: &mut MiningContext<'_>,
-    s: &[u32],
-    ext: &mut Vec<u32>,
-    collector: &mut SubtaskCollector<'_>,
-) {
-    let prefix_len = if ctx.config.cover_vertex {
-        cover_prune_prefix(ctx, s, ext)
-    } else {
-        ext.len()
-    };
-    let mut branch = ctx.scratch.take_vec_cap(prefix_len);
-    branch.extend_from_slice(&ext[..prefix_len]);
-    let mut i = 0usize;
-    while i < branch.len() {
-        let v = branch[i];
-        i += 1;
-        if ctx.is_cancelled() {
-            break;
-        }
-        if s.len() + ext.len() < ctx.params.min_size {
-            break;
-        }
-        if ctx.config.lookahead {
-            let mut whole = ctx.scratch.take_vec_cap(s.len() + ext.len());
-            whole.extend_from_slice(s);
-            whole.extend_from_slice(ext);
-            let hit = is_quasi_clique_local(ctx.graph, &whole, &ctx.params);
-            if hit {
-                ctx.stats.lookahead_hits += 1;
-                ctx.report(&whole);
-            }
-            ctx.scratch.put_vec(whole);
-            if hit {
-                break;
-            }
-        }
-        ext.retain(|&u| u != v);
-        let mut s_prime = ctx.scratch.take_vec_cap(s.len() + 1);
-        s_prime.extend_from_slice(s);
-        s_prime.push(v);
-        ctx.stats.nodes_expanded += 1;
-        let mut ext_prime = ctx.scratch.take_vec();
-        shrink_by_diameter(ctx, ext, v, &mut ext_prime);
-
-        // Algorithm 8 lines 15–16: the parent loses track of the subtask, so
-        // G(S') is checked eagerly.
-        ctx.report_if_valid(&s_prime);
-
-        if !ext_prime.is_empty() {
-            let pruned = iterative_bounding(ctx, &mut s_prime, &mut ext_prime);
-            if !pruned && s_prime.len() + ext_prime.len() >= ctx.params.min_size {
-                collector.add(&s_prime, &ext_prime);
-            }
-        }
-        ctx.scratch.put_vec(ext_prime);
-        ctx.scratch.put_vec(s_prime);
-    }
-    ctx.scratch.put_vec(branch);
-}
-
-/// Algorithm 10: backtracking with time-delayed decomposition. Identical to
-/// the serial recursion until the deadline passes, after which every remaining
-/// unpruned subtree is wrapped as a subtask instead of being recursed into.
-/// Returns true iff some valid quasi-clique strictly containing `S` was found
-/// *by this task* (results found by offloaded subtasks are unknown here, which
-/// is why G(S') is checked eagerly when offloading).
-fn time_delayed(
-    ctx: &mut MiningContext<'_>,
-    s: &[u32],
-    ext: &mut Vec<u32>,
-    deadline: Instant,
-    collector: &mut SubtaskCollector<'_>,
-) -> bool {
-    let mut found = false;
-    let prefix_len = if ctx.config.cover_vertex {
-        cover_prune_prefix(ctx, s, ext)
-    } else {
-        ext.len()
-    };
-    // This depth's branch frame, borrowed from the worker's arena.
-    let mut branch = ctx.scratch.take_vec_cap(prefix_len);
-    branch.extend_from_slice(&ext[..prefix_len]);
-    let mut i = 0usize;
-    while i < branch.len() {
-        let v = branch[i];
-        i += 1;
-        // Cooperative cancellation: abandon the remaining subtrees without
-        // offloading them — the run is ending, not decomposing.
-        if ctx.is_cancelled() {
-            break;
-        }
-        // Line 6.
-        if s.len() + ext.len() < ctx.params.min_size {
-            break;
-        }
-        // Lines 7–8: lookahead.
-        if ctx.config.lookahead {
-            let mut whole = ctx.scratch.take_vec_cap(s.len() + ext.len());
-            whole.extend_from_slice(s);
-            whole.extend_from_slice(ext);
-            let hit = is_quasi_clique_local(ctx.graph, &whole, &ctx.params);
-            if hit {
-                ctx.stats.lookahead_hits += 1;
-                ctx.report(&whole);
-            }
-            ctx.scratch.put_vec(whole);
-            if hit {
-                break;
-            }
-        }
-        // Lines 9–10.
-        ext.retain(|&u| u != v);
-        let mut s_prime = ctx.scratch.take_vec_cap(s.len() + 1);
-        s_prime.extend_from_slice(s);
-        s_prime.push(v);
-        ctx.stats.nodes_expanded += 1;
-        let mut ext_prime = ctx.scratch.take_vec();
-        shrink_by_diameter(ctx, ext, v, &mut ext_prime);
-
-        if ext_prime.is_empty() {
-            // Lines 11–14.
-            if ctx.report_if_valid(&s_prime) {
-                found = true;
-            }
-        } else {
-            // Line 16.
-            let pruned = iterative_bounding(ctx, &mut s_prime, &mut ext_prime);
-
-            if Instant::now() > deadline {
-                // Lines 18–24: offload the remaining subtree as a new task.
-                if !pruned && s_prime.len() + ext_prime.len() >= ctx.params.min_size {
-                    collector.add(&s_prime, &ext_prime);
-                    // The subtask will not tell us about its findings, so
-                    // examine G(S') now to avoid missing a maximal result.
-                    if ctx.report_if_valid(&s_prime) {
-                        found = true;
-                    }
-                }
-            } else if !pruned && s_prime.len() + ext_prime.len() >= ctx.params.min_size {
-                // Lines 25–30: regular backtracking.
-                let child_found = time_delayed(ctx, &s_prime, &mut ext_prime, deadline, collector);
-                found = found || child_found;
-                if !child_found && ctx.report_if_valid(&s_prime) {
-                    found = true;
-                }
-            }
-        }
-        ctx.scratch.put_vec(ext_prime);
-        ctx.scratch.put_vec(s_prime);
-    }
-    ctx.scratch.put_vec(branch);
-    found
 }
 
 #[cfg(test)]

@@ -76,9 +76,13 @@
 //!   content hashing);
 //! * [`gen`] — synthetic dataset generators (including the stand-ins for the
 //!   paper's eight evaluation graphs);
-//! * [`core`] — the serial mining algorithm, pruning rules and baselines;
+//! * [`core`] — the mining algorithm (one backtracking loop,
+//!   [`core::recursive_mine()`], which engine tasks also run), pruning rules
+//!   and baselines;
 //! * [`engine`] — the reforged G-thinker-style task engine;
-//! * [`parallel`] — the parallel miner (the paper's full system).
+//! * [`parallel`] — the parallel miner (the paper's full system), on worker
+//!   threads or, via [`parallel::ParallelMiner::with_sim`], on the fault
+//!   simulator.
 //!
 //! Above this facade sits `qcm-service`: an embeddable multi-tenant mining
 //! *job service* that executes submissions as [`Session`] runs on a worker
@@ -97,7 +101,9 @@
 //! transport, a strict serialising variant, or
 //! [`TransportKind::Sim`] — a deterministic discrete-event fault simulator
 //! that replays a seeded 64-machine crash/straggler/partition scenario
-//! byte-identically. See the README's "Distribution & fault testing" section
+//! byte-identically. All three run through the one
+//! [`parallel::ParallelMiner`]; its output carries the simulator's event
+//! log and hash. See the README's "Distribution & fault testing" section
 //! and `tests/fault_scenarios.rs`.
 
 pub mod session;

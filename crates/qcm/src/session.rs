@@ -33,10 +33,10 @@ use qcm_core::{
     CancelToken, CandidateForwarder, MiningParams, MiningStats, PruneConfig, QcmError,
     QuasiCliqueSet, ResultSink, RunOutcome, SerialMiner,
 };
-use qcm_engine::{EngineConfig, EngineMetrics, SimConfig, TransportFactory, TransportKind};
+use qcm_engine::{EngineConfig, EngineMetrics, TransportFactory, TransportKind};
 use qcm_graph::{Graph, IndexSpec, NeighborhoodIndex};
 use qcm_obs::{SpanKind, Trace, TraceConfig};
-use qcm_parallel::{DecompositionStrategy, ParallelMiner, SimMiner};
+use qcm_parallel::{DecompositionStrategy, ParallelMiner};
 use qcm_sync::Arc;
 use std::time::Duration;
 
@@ -319,9 +319,10 @@ impl SessionBuilder {
     ///
     /// [`TransportKind::Sim`] runs the job on the deterministic fault
     /// simulator: virtual time, seeded latency/drops, scripted crashes. Sim
-    /// runs ignore wall-clock deadlines (bounded by
-    /// [`SimConfig::max_virtual_us`] instead) and do not stream raw
-    /// candidates to a [`ResultSink`] (maximal results are still delivered).
+    /// runs model one mining thread per machine and ignore wall-clock
+    /// deadlines (bounded by
+    /// [`SimConfig::max_virtual_us`](qcm_engine::SimConfig::max_virtual_us)
+    /// instead).
     pub fn transport(mut self, transport: TransportKind) -> Self {
         self.transport = Some(transport);
         self
@@ -619,6 +620,13 @@ impl Session {
         }
     }
 
+    /// Runs the job on the engine: worker threads for the in-process
+    /// transports, the deterministic fault simulator for
+    /// [`TransportKind::Sim`]. The simulator models one mining thread per
+    /// machine and ignores wall-clock cancellation — the run is bounded by
+    /// the scenario's virtual-time horizon; a scenario that loses work
+    /// permanently yields [`RunOutcome::Faulted`] with the surviving valid
+    /// results.
     #[allow(clippy::too_many_arguments)]
     fn run_parallel<'a, 'b>(
         &self,
@@ -630,13 +638,9 @@ impl Session {
         cancel: CancelToken,
         sink: Option<&'a mut (dyn ResultSink + 'b)>,
     ) -> MiningReport {
-        if let TransportKind::Sim(sim) = transport {
-            return self.run_sim(graph, shared_index, machines, sim.clone(), sink);
-        }
         let factory = match transport {
-            TransportKind::InProc => TransportFactory::in_proc(),
             TransportKind::InProcStrict => TransportFactory::strict(),
-            TransportKind::Sim(_) => unreachable!("handled above"),
+            TransportKind::InProc | TransportKind::Sim(_) => TransportFactory::in_proc(),
         };
         let mut config = EngineConfig::cluster(machines, threads)
             .with_decomposition(self.tau_split, self.tau_time)
@@ -649,56 +653,12 @@ impl Session {
         if let Some(period) = self.balance_period {
             config.balance_period = period;
         }
-        let miner = ParallelMiner::new(self.params, config)
+        let mut miner = ParallelMiner::new(self.params, config)
             .with_strategy(self.strategy)
             .with_prune_config(self.prune);
-        let output = match sink {
-            None => miner.mine(graph.clone()),
-            Some(sink) => {
-                let mut forwarder = CandidateForwarder::new(sink);
-                miner.mine_with_observer(graph.clone(), &mut forwarder)
-            }
-        };
-        let elapsed = output.metrics.elapsed;
-        let outcome = output.outcome();
-        MiningReport {
-            maximal: output.maximal,
-            raw_reported: output.raw_reported,
-            elapsed,
-            outcome,
-            stats: BackendStats::Parallel {
-                metrics: Box::new(output.metrics),
-                kcore_vertices: output.kcore_vertices,
-                kcore_time: output.kcore_time,
-            },
-            trace: None,
+        if let TransportKind::Sim(sim) = transport {
+            miner = miner.with_sim(sim.clone());
         }
-    }
-
-    /// Runs the job on the deterministic fault simulator
-    /// ([`TransportKind::Sim`]). Thread counts are not modelled and
-    /// wall-clock cancellation is ignored — the run is bounded by the
-    /// scenario's virtual-time horizon; a scenario that loses work
-    /// permanently yields [`RunOutcome::Faulted`] with the surviving valid
-    /// results.
-    fn run_sim<'a, 'b>(
-        &self,
-        graph: &Arc<Graph>,
-        shared_index: Option<&Arc<NeighborhoodIndex>>,
-        machines: usize,
-        sim: SimConfig,
-        sink: Option<&'a mut (dyn ResultSink + 'b)>,
-    ) -> MiningReport {
-        let mut config = EngineConfig::cluster(machines, 1)
-            .with_decomposition(self.tau_split, self.tau_time)
-            .with_index(self.index);
-        if let Some(index) = shared_index {
-            config = config.with_shared_index(index.clone());
-        }
-        if let Some(period) = self.balance_period {
-            config.balance_period = period;
-        }
-        let miner = SimMiner::new(self.params, config, sim).with_prune_config(self.prune);
         let output = match sink {
             None => miner.mine(graph.clone()),
             Some(sink) => {
@@ -710,7 +670,7 @@ impl Session {
             maximal: output.maximal,
             raw_reported: output.raw_reported,
             elapsed: output.metrics.elapsed,
-            outcome: output.outcome,
+            outcome: output.metrics.outcome,
             stats: BackendStats::Parallel {
                 metrics: Box::new(output.metrics),
                 kcore_vertices: output.kcore_vertices,

@@ -70,10 +70,12 @@ fn simulated_tiny_queues_spill_replay_and_match_serial() {
     config.global_queue_capacity = 2;
     config.tau_split = 1; // every task is "big" → hammer the global queue
     let run = || {
-        qcm::parallel::SimMiner::new(params, config.clone(), SimConfig::new(21)).mine(graph.clone())
+        ParallelMiner::new(params, config.clone())
+            .with_sim(SimConfig::new(21))
+            .mine(graph.clone())
     };
     let (first, again) = (run(), run());
-    assert_eq!(first.outcome, RunOutcome::Complete);
+    assert_eq!(first.outcome(), RunOutcome::Complete);
     assert_eq!(first.maximal, serial.maximal);
     assert!(
         first.metrics.spill_bytes_written > 0,

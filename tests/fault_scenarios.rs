@@ -29,7 +29,7 @@ use proptest::prelude::*;
 use qcm::core::{MiningParams, SerialMiner};
 use qcm::engine::EngineConfig;
 use qcm::graph::Graph;
-use qcm::parallel::{SimMiner, SimMiningOutput};
+use qcm::parallel::{ParallelMiner, ParallelMiningOutput};
 use qcm::{RunOutcome, SimConfig};
 use qcm_sync::Arc;
 use std::fs;
@@ -85,7 +85,7 @@ fn selected(name: &str, seed: u64) -> bool {
     scenario_ok && seed_ok
 }
 
-fn run_sim(graph: &Arc<Graph>, params: MiningParams, sim: SimConfig) -> SimMiningOutput {
+fn run_sim(graph: &Arc<Graph>, params: MiningParams, sim: SimConfig) -> ParallelMiningOutput {
     let mut config =
         EngineConfig::cluster(MACHINES, 1).with_decomposition(30, Duration::from_millis(50));
     // Only a machine's global queue can be stolen from, and at τ_split = 30
@@ -95,12 +95,14 @@ fn run_sim(graph: &Arc<Graph>, params: MiningParams, sim: SimConfig) -> SimMinin
     // exercised.
     config.local_capacity = 1;
     config.balance_period = Duration::from_millis(5);
-    SimMiner::new(params, config, sim).mine(graph.clone())
+    ParallelMiner::new(params, config)
+        .with_sim(sim)
+        .mine(graph.clone())
 }
 
 /// Asserts from the event log that the scenario's fault actually happened
 /// and was recovered from.
-fn assert_exercised(name: &str, seed: u64, out: &SimMiningOutput) {
+fn assert_exercised(name: &str, seed: u64, out: &ParallelMiningOutput) {
     let log = &out.event_log;
     let has = |needle: &str| log.iter().any(|line| line.contains(needle));
     match name {
@@ -137,16 +139,16 @@ fn assert_exercised(name: &str, seed: u64, out: &SimMiningOutput) {
 
 /// Writes the run's event log under `$CARGO_TARGET_TMPDIR/fault-logs/` so a
 /// failing CI cell can upload it for offline replay analysis.
-fn dump_log(name: &str, seed: u64, out: &SimMiningOutput) {
+fn dump_log(name: &str, seed: u64, out: &ParallelMiningOutput) {
     let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("fault-logs");
     if fs::create_dir_all(&dir).is_err() {
         return;
     }
     let header = format!(
         "# scenario={name} seed={seed} outcome={:?} hash={:016x} virtual={}us\n",
-        out.outcome,
+        out.outcome(),
         out.log_hash,
-        out.virtual_time.as_micros()
+        out.metrics.virtual_time.unwrap_or_default().as_micros()
     );
     let body = out.event_log.join("\n");
     let _ = fs::write(
@@ -169,7 +171,7 @@ fn recoverable_scenarios_match_the_serial_miner() {
             dump_log(name, seed, &out);
             assert_exercised(name, seed, &out);
             assert_eq!(
-                out.outcome,
+                out.outcome(),
                 RunOutcome::Complete,
                 "{name} seed {seed} must recover to completion"
             );
@@ -200,8 +202,8 @@ fn every_scenario_replays_byte_identically_from_its_seed() {
                 "{name} seed {seed}: event logs diverged with equal hashes"
             );
             assert_eq!(first.maximal, again.maximal);
-            assert_eq!(first.outcome, again.outcome);
-            assert_eq!(first.virtual_time, again.virtual_time);
+            assert_eq!(first.outcome(), again.outcome());
+            assert_eq!(first.metrics.virtual_time, again.metrics.virtual_time);
         }
     }
 }
@@ -230,7 +232,7 @@ fn unrecoverable_crash_reports_labelled_partial_results() {
         SimConfig::crash_scenario(42, 1, 2_000, None),
     );
     dump_log("crash-norestart", 42, &out);
-    match out.outcome {
+    match out.outcome() {
         RunOutcome::Complete => assert_eq!(out.maximal, serial.maximal),
         RunOutcome::Faulted => {
             // Partial-result contract: everything reported is a valid
@@ -289,12 +291,14 @@ proptest! {
         let sim = SimConfig::new(seed)
             .with_drop_probability(f64::from(drop_millis) / 1_000.0)
             .with_latency(latency_us, jitter_us);
-        let out = SimMiner::new(params, EngineConfig::cluster(3, 1), sim).mine(graph.clone());
+        let out = ParallelMiner::new(params, EngineConfig::cluster(3, 1))
+            .with_sim(sim)
+            .mine(graph.clone());
         prop_assert!(
-            matches!(out.outcome, RunOutcome::Complete | RunOutcome::Faulted),
-            "unexpected outcome {:?}", out.outcome
+            matches!(out.outcome(), RunOutcome::Complete | RunOutcome::Faulted),
+            "unexpected outcome {:?}", out.outcome()
         );
-        if out.outcome == RunOutcome::Complete {
+        if out.outcome() == RunOutcome::Complete {
             let serial = SerialMiner::new(params).mine(&graph);
             prop_assert_eq!(out.maximal, serial.maximal);
         }

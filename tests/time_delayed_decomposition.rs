@@ -9,11 +9,16 @@
 //!   whatever granularity the backtracking has reached (not uniformly);
 //! * decreasing τ_time increases the number of decomposed subtasks;
 //! * subgraph-materialisation time stays a small fraction of mining time
-//!   (Table 6's ratio).
+//!   (Table 6's ratio);
+//! * until τ_time expires, a task *is* the serial recursion (Algorithm 2),
+//!   raw report for raw report.
 
-use qcm::parallel::{DecompositionStrategy, ParallelMiner};
+use qcm::core::{recursive_mine, MiningContext, MiningScratch, NeverOffload};
+use qcm::parallel::mine::run_mine_phase;
+use qcm::parallel::{DecompositionStrategy, MinePhaseParams, ParallelMiner, QCTask, TaskGraph};
 use qcm::prelude::*;
 use qcm_sync::Arc;
+use std::collections::BTreeSet;
 use std::time::Duration;
 
 /// A graph with one moderately dense hard core that takes real work to mine,
@@ -118,5 +123,77 @@ fn per_task_times_expose_the_skew_of_figures_1_and_2() {
     assert!(
         slowest > fastest * 2,
         "expected skewed task times, got slowest={slowest:?} fastest={fastest:?}"
+    );
+}
+
+/// The mining-phase task of `root`: `S = {root}`, `ext(S)` the larger-id
+/// vertices within two hops, over the subgraph they induce.
+fn two_hop_task(graph: &Graph, root: VertexId) -> QCTask {
+    let mut ext = BTreeSet::new();
+    for &u in graph.neighbors(root) {
+        ext.insert(u);
+        ext.extend(graph.neighbors(u).iter().copied());
+    }
+    let ext: Vec<VertexId> = ext.into_iter().filter(|&u| u > root).collect();
+    let mut members = ext.clone();
+    members.push(root);
+    let mut subgraph = TaskGraph::new();
+    for &v in &members {
+        subgraph.insert(v, graph.neighbors(v).to_vec());
+    }
+    subgraph.retain_internal_edges();
+    QCTask::decomposed(root, vec![root], ext, subgraph)
+}
+
+/// The raw rows `recursive_mine` reports on the task's local graph and
+/// `⟨S, ext⟩`, built exactly as the mining phase builds them.
+fn serial_rows(task: &QCTask, phase: &MinePhaseParams) -> Vec<Vec<VertexId>> {
+    let (mut graph, index) = task.subgraph.to_local_graph();
+    graph.build_hub_index(phase.index);
+    let s: Vec<u32> = task.s.iter().map(|v| index[v]).collect();
+    let mut ext: Vec<u32> = task.ext.iter().map(|v| index[v]).collect();
+    let mut sink = QuasiCliqueSet::new();
+    let mut ctx = MiningContext::with_config(&graph, phase.params, phase.config, &mut sink);
+    recursive_mine(&mut ctx, &s, &mut ext, &mut NeverOffload);
+    sink.into_sorted_vec()
+}
+
+#[test]
+fn unexpired_time_delayed_task_reports_the_serial_recursions_raw_rows() {
+    let mut roots = 0usize;
+    let mut differing = Vec::new();
+    for seed in 0..6u64 {
+        let background = qcm::gen::gnp(60, 0.1, seed);
+        let (graph, _) = qcm::gen::plant_into(&background, &[12, 9], 0.9, seed + 1_000);
+        for (gamma, min_size) in [(0.6, 5), (0.75, 5), (0.9, 4)] {
+            let phase = MinePhaseParams {
+                params: MiningParams::new(gamma, min_size),
+                config: PruneConfig::all_enabled(),
+                tau_split: 30,
+                tau_time: Duration::from_secs(3600),
+                strategy: DecompositionStrategy::TimeDelayed,
+                cancel: CancelToken::never(),
+                index: IndexSpec::Auto,
+            };
+            for root in graph.vertices() {
+                let task = two_hop_task(&graph, root);
+                if task.ext.is_empty() {
+                    continue;
+                }
+                roots += 1;
+                let out = run_mine_phase(&task, &phase, &mut MiningScratch::default());
+                assert!(out.subtasks.is_empty(), "τ_time never expires");
+                if out.results != serial_rows(&task, &phase) {
+                    differing.push((seed, gamma, root.raw()));
+                }
+            }
+        }
+    }
+    assert!(
+        differing.is_empty(),
+        "{} of {roots} roots report other raw rows than the serial recursion, \
+         e.g. (seed, γ, root) {:?}",
+        differing.len(),
+        &differing[..differing.len().min(5)]
     );
 }
